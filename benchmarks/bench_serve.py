@@ -2,14 +2,14 @@
 
 Three cell families, all recorded into ``BENCH_serve.json``:
 
-* **latency** — a config-skewed load (two preconditioner
-  configurations, pool capacity >= configurations, concurrent
-  clients) against a live ``ThreadingHTTPServer``; records p50/p99
-  request latency, requests/sec and the session-pool hit rate.  With
-  capacity covering the working set, everything after the first
-  request per configuration must be a pool hit.
+* **latency** — a config-skewed load (two problems, pool capacity >=
+  problems, concurrent clients) against a live
+  ``ThreadingHTTPServer``; records p50/p99 request latency,
+  requests/sec and the session-pool hit rate.  With capacity covering
+  the working set, everything after the first request per problem
+  must be a pool hit.
 * **pool_churn** — the same load with pool capacity **1** (every
-  configuration switch evicts) and a shared trajectory cache; records
+  problem switch evicts) and a shared trajectory cache; records
   eviction count and the hit rate under churn.  No performance gate —
   the cell exists to measure what eviction costs and prove the
   service stays correct while thrashing.
@@ -66,20 +66,19 @@ HIT_RATE_FLOOR = 0.9
 P99_CEILING_SECONDS = 2.0
 RPS_FLOOR = 5.0
 
-#: The serving working set: two preconditioner configurations over one
-#: problem — two session keys, exercised with skew (block_jacobi gets
-#: 3 of every 4 requests, like a production mix with a hot config).
-CONFIGS = ("block_jacobi", "jacobi")
+#: The serving working set: two problems — two session keys (the pool
+#: is keyed by problem, not by preconditioner), exercised with skew
+#: (emilia_923_like gets 3 of every 4 requests, like a production mix
+#: with a hot config).
+CONFIGS = ("emilia_923_like", "audikw_1_like")
 
 
 def make_payloads(n_requests: int) -> list[dict]:
     return [
         ServeRequest(
+            problem=CONFIGS[0] if i % 4 else CONFIGS[1],
             request=SolveRequest(
-                strategy="esrp" if i % 2 else "esr",
-                T=10,
-                phi=1,
-                preconditioner=CONFIGS[0] if i % 4 else CONFIGS[1],
+                strategy="esrp" if i % 2 else "esr", T=10, phi=1
             ),
         ).to_dict()
         for i in range(n_requests)
@@ -92,13 +91,12 @@ def run_latency(n_requests: int, clients: int) -> dict:
         # One warm-up request per configuration: the cell measures the
         # steady serving regime, not first-build matrix setup (the
         # pool_churn cell charges for builds).
-        for preconditioner in CONFIGS:
+        for problem in CONFIGS:
             status, _ = post_json(
                 server.url + "/solve",
                 ServeRequest(
-                    request=SolveRequest(
-                        strategy="esr", T=10, preconditioner=preconditioner
-                    ),
+                    problem=problem,
+                    request=SolveRequest(strategy="esr", T=10),
                 ).to_dict(),
             )
             assert status == 200, f"warm-up failed with {status}"

@@ -11,8 +11,8 @@ content.  This demo
 
 1. starts a server on an ephemeral port (in production:
    ``repro serve --port 8765``),
-2. fires a burst of concurrent requests over two preconditioner
-   configurations and shows the pool amortising setup across them,
+2. fires a burst of concurrent requests over two preconditioners of
+   one problem and shows one pooled session serving both,
 3. verifies every reply against its hash stamp and checks that
    identical requests produced byte-identical stamped payloads,
 4. shuts down gracefully, draining in-flight work.
@@ -33,15 +33,17 @@ from repro.serve import (
 
 def main() -> None:
     # 1. A pooled service behind a threading HTTP server.  pool_size
-    #    bounds resident sessions; requests for an evicted
-    #    configuration transparently rebuild it.
+    #    bounds resident sessions (one per problem); requests for an
+    #    evicted problem transparently rebuild it.
     with SolverServer(pool_size=4, verbose=False) as server:
         print(f"serving on {server.url}")
         print(f"  health: {get_json(server.url + '/health')}\n")
 
-        # 2. A config-skewed burst: two session keys (block_jacobi hot,
-        #    jacobi cold), four client threads.  The first request per
-        #    key builds a session; everything after is a pool hit.
+        # 2. A config-skewed burst: two preconditioners (block_jacobi
+        #    hot, jacobi cold) of one problem, four client threads.  The
+        #    pool key is the problem, so the first request builds the
+        #    session, each preconditioner is factorised once inside it,
+        #    and everything after is a pool hit.
         payloads = [
             ServeRequest(
                 request=SolveRequest(

@@ -103,7 +103,10 @@ class RunSpec:
         cluster, partition, factorised preconditioners) is memoised on
         (problem, scale, n_nodes) and the reference-trajectory cache on
         the preconditioner, so this prefix of :attr:`seed_key` is what
-        configuration-affine queue claiming groups by.
+        configuration-affine queue claiming groups by.  (The serve
+        layer pools on the session part alone — see
+        :attr:`repro.serve.service.ServeRequest.session_key` — because
+        a pool slot *is* a session.)
         """
         return (
             f"{self.problem}:{self.scale}:n{self.n_nodes}:{self.preconditioner}"

@@ -7,6 +7,11 @@ the fat tree explicitly (with :mod:`networkx`), provides hop distances
 for the latency model, and exposes the switch → ranks mapping used by
 :mod:`repro.cluster.failures` to generate switch-fault failure sets.
 
+:mod:`networkx` is imported only by the two methods that build or walk
+the explicit graph (``FatTree.graph`` and its shortest-path
+cross-check); hop counts are closed-form, so ``import repro`` and every
+solve work without it (``pip install repro[topology]`` adds it).
+
 Simpler topologies (ring, fully connected) are available for tests and
 for isolating the influence of hop-dependent latency.
 """
@@ -15,10 +20,12 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from ..exceptions import ConfigurationError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 class Topology:
@@ -102,6 +109,8 @@ class FatTree(Topology):
         Provided for visualisation/analysis; hop counts use the closed
         form above (they agree with shortest paths on this graph).
         """
+        import networkx as nx
+
         g = nx.Graph()
         g.add_node(("spine", 0), kind="spine")
         for leaf in range(self.n_leaves):
@@ -115,6 +124,8 @@ class FatTree(Topology):
     @lru_cache(maxsize=None)
     def _shortest_path_hops(self, src: int, dst: int) -> int:
         """Hop count via explicit shortest path (cross-check for tests)."""
+        import networkx as nx
+
         return nx.shortest_path_length(self.graph(), ("node", src), ("node", dst))
 
 

@@ -8,11 +8,13 @@ Architecture — three layers, each usable alone:
 
 ``pool``
     :class:`SessionPool`: a bounded LRU of solver sessions keyed by
-    ``problem:scale:n{nodes}:{preconditioner}`` (the same configuration
-    split as a campaign's ``config_key``).  Eviction is map-removal
-    only — in-flight work finishes on its private reference — and an
-    evicted configuration warm-starts from the shared disk trajectory
-    cache when it returns.
+    the problem identity ``problem:scale:n{nodes}`` (what the campaign
+    executor memoises its sessions on).  One slot serves every
+    preconditioner of its problem through the session's
+    per-preconditioner caches.  Eviction is map-removal only —
+    in-flight work finishes on its private reference — and an evicted
+    problem warm-starts from the shared disk trajectory cache when it
+    returns.
 
 ``service``
     :class:`SolverService`: validates :class:`ServeRequest`\\ s, runs

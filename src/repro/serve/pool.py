@@ -4,17 +4,21 @@ The serve layer's economics rest on session reuse: one session owns a
 problem's cluster, distributed matrix, factorised preconditioners and
 reference trajectories, so the marginal request against a *warm*
 session pays only its solve.  The pool keeps at most ``capacity``
-sessions, keyed by the request's session key (problem / scale / nodes /
-preconditioner — the same configuration split as
-:attr:`repro.campaign.spec.RunSpec.config_key`), and evicts the least
-recently used key when full.
+sessions, keyed by the request's session key — the problem identity
+(problem / scale / nodes), which is what the matrix, the partition and
+the communication plans depend on — and evicts the least recently used
+key when full.  The preconditioner is not part of the key: a slot
+serves every preconditioner of its problem from the session's own
+per-preconditioner caches, so a second preconditioner on a warm slot
+costs one factorisation (and one reference solve if asked for), never
+a second matrix.
 
 Eviction is map-removal only: a thread still batching against an
 evicted session keeps its (now private) reference and finishes
 normally; the next request for that key builds a fresh session.  With
 a shared ``cache_dir`` the fresh session warm-starts its reference
-trajectory from the PR 3 disk spool instead of recomputing it, so an
-eviction costs setup work, never correctness.
+trajectories from the PR 3 disk spool instead of recomputing them, so
+an eviction costs setup work, never correctness.
 
 Each pooled entry carries its own lock and pending-request deque — the
 batching substrate of :class:`repro.serve.service.SolverService` — and
@@ -115,6 +119,14 @@ class SessionPool:
                 "capacity": self.capacity,
                 "size": len(self._slots),
                 "sessions": list(self._slots),
+                # What each built session has accumulated: a slot
+                # serves every preconditioner of its problem, so its
+                # factorisations and references grow with the traffic.
+                "slots": {
+                    key: dict(pooled.session.setup_events)
+                    for key, pooled in self._slots.items()
+                    if pooled.built
+                },
                 "hits": self.hits,
                 "misses": self.misses,
                 "evictions": self.evictions,

@@ -5,7 +5,9 @@ the :class:`~repro.api.request.SolveRequest` to run against it; a
 :class:`SolverService` serves many of them concurrently:
 
 * sessions come from a bounded LRU :class:`~repro.serve.pool.SessionPool`
-  keyed by :attr:`ServeRequest.session_key`;
+  keyed by :attr:`ServeRequest.session_key` — one slot per *problem*
+  (problem / scale / nodes), serving every preconditioner of that
+  problem through the session's own per-preconditioner caches;
 * requests against one session are **batched**: every HTTP thread
   appends ``(request, future)`` to the session's pending deque, and
   whoever acquires the session lock first becomes the batch leader,
@@ -105,11 +107,15 @@ class ServeRequest:
 
     @property
     def session_key(self) -> str:
-        """The pool key (mirrors ``RunSpec.config_key``)."""
-        return (
-            f"{self.problem}:{self.scale}:n{self.n_nodes}"
-            f":{self.request.preconditioner}"
-        )
+        """The pool key: the problem identity, *not* the preconditioner.
+
+        What a pool slot saves is the matrix, its partition and the
+        (A)SpMV communication plans, all functions of (problem, scale,
+        n_nodes) alone; the preconditioner is a per-solve choice the
+        session caches under ``SolveRequest.precond_key``.  The campaign
+        executor memoises its sessions on the same triple.
+        """
+        return f"{self.problem}:{self.scale}:n{self.n_nodes}"
 
     @property
     def fingerprint(self) -> str:
@@ -274,6 +280,12 @@ class SolverService:
                 self._state.notify_all()
 
     def _build_session(self, serve_request: ServeRequest) -> SolverSession:
+        """The session of ``serve_request``'s pool slot.
+
+        Reads only what :attr:`ServeRequest.session_key` is made of: the
+        slot outlives this request and serves every other request for
+        its problem, whatever their preconditioner.
+        """
         return SolverSession.from_problem(
             serve_request.problem,
             serve_request.scale,

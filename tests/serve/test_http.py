@@ -5,6 +5,8 @@ the same ``urllib`` client the load driver uses — no mocks, so these
 pin the actual wire contract ``repro serve`` exposes.
 """
 
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from repro.api import SolveRequest
@@ -37,9 +39,17 @@ class TestRoutes:
         assert body["engine"].startswith("repro-")
 
     def test_stats_exposes_pool_counters(self, server):
+        post_json(server.url + "/solve", payload(preconditioner="jacobi"))
+        post_json(server.url + "/solve", payload(preconditioner="block_jacobi"))
         body = get_json(server.url + "/stats")
         assert body["pool"]["capacity"] == 2
         assert {"served", "errors", "inflight", "closed"} <= set(body)
+        # One slot per problem, with what its session has accumulated.
+        assert body["pool"]["sessions"] == ["emilia_923_like:tiny:n4"]
+        slot = body["pool"]["slots"]["emilia_923_like:tiny:n4"]
+        assert slot["matrix"] == 1
+        assert slot["preconditioner"] == 2
+        assert slot["solve"] >= 2
 
     def test_solve_round_trip(self, server):
         status, body = post_json(server.url + "/solve", payload())
@@ -108,6 +118,41 @@ class TestConcurrentLoad:
         assert report.digests_consistent
         assert report.p50_latency > 0.0
         assert report.p99_latency >= report.p50_latency
+
+
+class TestSharedSlot:
+    def test_interleaved_preconditioners_match_the_serial_order(self):
+        # Two clients, one preconditioner each, racing onto the single
+        # slot of their problem: whatever the batching does, every
+        # reply must carry the digest the serial order produces.
+        payloads = [
+            payload(preconditioner=name, seed=seed)
+            for seed in range(4)
+            for name in ("jacobi", "block_jacobi")
+        ]
+        with SolverServer(pool_size=1, verbose=False) as serial:
+            expected = [
+                post_json(serial.url + "/solve", item)[1]["response_digest"]
+                for item in payloads
+            ]
+        assert len(set(expected)) == len(payloads)
+
+        def client(url, items):
+            return [post_json(url + "/solve", item)[1] for item in items]
+
+        with SolverServer(pool_size=1, verbose=False) as shared:
+            with ThreadPoolExecutor(max_workers=2) as executor:
+                lanes = [
+                    executor.submit(client, shared.url, payloads[lane::2])
+                    for lane in range(2)
+                ]
+                by_lane = [lane.result(timeout=60) for lane in lanes]
+            stats = get_json(shared.url + "/stats")
+        replies = [by_lane[i % 2][i // 2] for i in range(len(payloads))]
+        assert [reply["response_digest"] for reply in replies] == expected
+        assert all(verify_response(reply) for reply in replies)
+        assert stats["pool"]["evictions"] == 0
+        assert stats["pool"]["slots"]["emilia_923_like:tiny:n4"]["matrix"] == 1
 
 
 class TestShutdown:

@@ -6,8 +6,11 @@ directly (no HTTP); the transport has its own suite in
 
 * pool reuse is real — a second request for a key performs **zero**
   additional setup work (checked through ``SolverSession.setup_events``);
-* eviction is map-removal — the evicted configuration rebuilds on
-  return, warm-starting its reference from a shared cache directory;
+* the pool's unit is the *problem*: every preconditioner of a problem
+  shares one slot, and a reply from a shared slot is byte-identical to
+  the reply of a session built for that preconditioner alone;
+* eviction is map-removal — the evicted problem rebuilds on return,
+  warm-starting its reference from a shared cache directory;
 * served answers are bit-identical to direct ``SolverSession.solve()``
   (minus ``wall_time``, which the stamp deliberately excludes);
 * identical requests yield identical ``response_digest`` values, and
@@ -32,13 +35,19 @@ from repro.serve import (
 
 
 def serve_request(preconditioner="block_jacobi", with_reference=False,
-                  **request_kwargs):
+                  problem="emilia_923_like", **request_kwargs):
     request_kwargs.setdefault("strategy", "esr")
     request_kwargs.setdefault("T", 10)
     return ServeRequest(
+        problem=problem,
         with_reference=with_reference,
         request=SolveRequest(preconditioner=preconditioner, **request_kwargs),
     )
+
+
+def answer(reply):
+    """A reply without the fields that describe this execution."""
+    return {k: v for k, v in reply.items() if k not in ("pool", "timing")}
 
 
 class TestServeRequest:
@@ -48,11 +57,18 @@ class TestServeRequest:
         assert clone == original
         assert clone.fingerprint == original.fingerprint
 
-    def test_session_key_splits_like_a_campaign_config(self):
-        assert serve_request().session_key == "emilia_923_like:tiny:n4:block_jacobi"
+    def test_session_key_is_the_problem_identity(self):
+        # Matrix, partition and comm plans depend on (problem, scale,
+        # nodes) only; the preconditioner is a per-solve choice inside
+        # the session, so it must not split the pool.
+        assert serve_request().session_key == "emilia_923_like:tiny:n4"
         assert serve_request(preconditioner="jacobi").session_key == (
-            "emilia_923_like:tiny:n4:jacobi"
+            serve_request(preconditioner="block_jacobi").session_key
         )
+        assert serve_request(problem="audikw_1_like").session_key == (
+            "audikw_1_like:tiny:n4"
+        )
+        assert ServeRequest(n_nodes=2).session_key == "emilia_923_like:tiny:n2"
 
     def test_rejects_unknown_problem_and_keys(self):
         with pytest.raises(ConfigurationError, match="unknown problem"):
@@ -85,13 +101,12 @@ class TestPoolReuse:
     def test_lru_eviction_and_warm_restart_from_disk(self, tmp_path):
         service = SolverService(pool_size=1, cache_dir=tmp_path)
         service.solve(serve_request(with_reference=True))
-        # A different preconditioner key evicts the only slot ...
-        service.solve(serve_request(preconditioner="jacobi"))
+        # A different problem evicts the only slot ...
+        service.solve(serve_request(problem="audikw_1_like"))
         assert service.pool.evictions == 1
-        assert service.pool.keys() == ["emilia_923_like:tiny:n4:jacobi"]
-        # ... and the evicted configuration rebuilds, but pulls its
-        # reference trajectory from the shared spool instead of
-        # recomputing it.
+        assert service.pool.keys() == ["audikw_1_like:tiny:n4"]
+        # ... and the evicted problem rebuilds, but pulls its reference
+        # trajectory from the shared spool instead of recomputing it.
         service.solve(serve_request(with_reference=True))
         rebuilt = service.pool._slots[serve_request().session_key]
         assert rebuilt.session.setup_events["reference_disk"] == 1
@@ -107,6 +122,37 @@ class TestPoolReuse:
         for request in requests:
             service.solve(request)
         assert service.pool.stats()["hit_rate"] >= 0.9
+        assert len(service.pool.keys()) == 1
+
+    def test_two_preconditioners_share_one_slot(self):
+        # Capacity 1 and two preconditioners: one matrix build, one
+        # factorisation each, no eviction.
+        service = SolverService(pool_size=1)
+        requests = [
+            serve_request(preconditioner=name, with_reference=True, seed=3)
+            for name in ("block_jacobi", "jacobi")
+        ]
+        shared = [service.solve(request) for request in requests * 2]
+        assert [reply["pool"]["hit"] for reply in shared] == [
+            False, True, True, True,
+        ]
+        assert {reply["pool"]["session"] for reply in shared} == {
+            "emilia_923_like:tiny:n4"
+        }
+        assert service.pool.evictions == 0
+        events = service.pool.stats()["slots"]["emilia_923_like:tiny:n4"]
+        assert events["matrix"] == 1
+        assert events["preconditioner"] == 2
+        assert events["reference"] == 2
+        # The preconditioner really decides the answer ...
+        assert shared[0]["report"] != shared[1]["report"]
+        # ... and sharing the slot does not: each reply equals the one
+        # from a service that has only ever seen that preconditioner.
+        for request, reply, repeat in zip(requests, shared, shared[2:]):
+            alone = SolverService(pool_size=1).solve(request)
+            assert answer(reply) == answer(alone)
+            assert answer(repeat) == answer(alone)
+            assert verify_response(reply)
 
 
 class TestStamps:
