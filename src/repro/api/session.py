@@ -23,7 +23,9 @@ a thin shim over a throwaway session.
 
 Every expensive setup step increments :attr:`SolverSession.setup_events`
 (a :class:`collections.Counter`), which tests and capacity planning can
-inspect to verify that reuse actually reuses.
+inspect to verify that reuse actually reuses;
+:attr:`SolverSession.setup_seconds` holds the host time the matrix,
+preconditioner and reference stages took.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import hashlib
 import os
 import pathlib
 import tempfile
+import time
 from collections import Counter
 from typing import Any, Iterable, Sequence
 
@@ -149,6 +152,12 @@ class SolverSession:
         #: ``"preconditioner"``, ``"reference"`` (computed) and
         #: ``"reference_disk"`` (loaded from the spool directory).
         self.setup_events: Counter[str] = Counter()
+        #: Host seconds spent in the ``"matrix"``, ``"preconditioner"`` and
+        #: ``"reference"`` stages, each exclusive of the others.  Wall
+        #: time: in no digest and no stamped reply.
+        self.setup_seconds: dict[str, float] = {
+            "matrix": 0.0, "preconditioner": 0.0, "reference": 0.0
+        }
         if cluster is not None:
             # Adopted clusters were built by the caller; no setup charged.
             self.setup_events["cluster"] += 0
@@ -222,11 +231,17 @@ class SolverSession:
     def matrix(self) -> DistributedMatrix:
         """The distributed matrix (split + comm plan built on first access)."""
         if self._dist_matrix is None:
+            start = time.perf_counter()
             self._dist_matrix = DistributedMatrix(
                 self.cluster, self.partition, self.matrix_csr
             )
-            self.setup_events["matrix"] += 1
+            self._record_setup("matrix", start)
         return self._dist_matrix
+
+    def _record_setup(self, stage: str, start: float) -> None:
+        """Count one ``stage`` set-up that began at ``perf_counter()`` ``start``."""
+        self.setup_events[stage] += 1
+        self.setup_seconds[stage] += time.perf_counter() - start
 
     @property
     def problem_digest(self) -> str:
@@ -266,12 +281,14 @@ class SolverSession:
         key = request.precond_key
         precond = self._preconditioners.get(key)
         if precond is None:
+            matrix = self.matrix  # built (and timed) as its own stage
+            start = time.perf_counter()
             precond = make_preconditioner(
                 request.preconditioner, **request.precond_params
             )
-            precond.setup(self.matrix)  # factorise once; engines reuse it
+            precond.setup(matrix)  # factorise once; engines reuse it
             self._preconditioners[key] = precond
-            self.setup_events["preconditioner"] += 1
+            self._record_setup("preconditioner", start)
         return precond
 
     # ---------------------------------------------------------------- solving
@@ -358,11 +375,13 @@ class SolverSession:
                 maxiter=request.maxiter,
                 seed=self._seed,
             )
+            self._preconditioner_for(ref_request)  # its own stage, not the solve's
+            start = time.perf_counter()
             result = self._execute(ref_request)
             trajectory = ReferenceTrajectory(
                 t0=result.modeled_time, C=result.iterations, x=result.x
             )
-            self.setup_events["reference"] += 1
+            self._record_setup("reference", start)
             self._store_reference_to_disk(request, trajectory)
         self._references[key] = trajectory
         return trajectory

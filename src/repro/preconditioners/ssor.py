@@ -38,6 +38,7 @@ class BlockSSORPreconditioner(BlockDiagonalPreconditioner):
     def _setup_impl(self, matrix: DistributedMatrix) -> None:
         omega = self.omega
         self._lower: list[sp.csr_matrix] = []  # D/ω + L  (lower triangular)
+        self._lower_t: list[sp.csr_matrix] = []  # its transpose, for the back solve
         self._mid: list[np.ndarray] = []  # ((2-ω)/ω) · diag
         self._flops: list[float] = []
         for rank in range(matrix.partition.n_nodes):
@@ -50,15 +51,15 @@ class BlockSSORPreconditioner(BlockDiagonalPreconditioner):
             strict_lower = sp.tril(block, k=-1, format="csr")
             lower = (strict_lower + sp.diags_array(diagonal / omega, format="csr")).tocsr()
             self._lower.append(lower)
+            self._lower_t.append(lower.T.tocsr())
             self._mid.append((2.0 - omega) / omega * diagonal)
             # two triangular solves + diagonal scale per application
             self._flops.append(4.0 * lower.nnz + diagonal.size)
 
     def _apply_local(self, rank: int, values: np.ndarray) -> np.ndarray:
-        lower = self._lower[rank]
-        y = spla.spsolve_triangular(lower, values, lower=True)
+        y = spla.spsolve_triangular(self._lower[rank], values, lower=True)
         y *= self._mid[rank]
-        return spla.spsolve_triangular(lower.T.tocsr(), y, lower=False)
+        return spla.spsolve_triangular(self._lower_t[rank], y, lower=False)
 
     def _apply_inverse_local(self, rank: int, values: np.ndarray) -> np.ndarray:
         lower = self._lower[rank]

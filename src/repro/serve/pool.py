@@ -115,6 +115,9 @@ class SessionPool:
 
     def stats(self) -> dict:
         with self._mutex:
+            built = {
+                key: pooled.session for key, pooled in self._slots.items() if pooled.built
+            }
             return {
                 "capacity": self.capacity,
                 "size": len(self._slots),
@@ -122,10 +125,10 @@ class SessionPool:
                 # What each built session has accumulated: a slot
                 # serves every preconditioner of its problem, so its
                 # factorisations and references grow with the traffic.
-                "slots": {
-                    key: dict(pooled.session.setup_events)
-                    for key, pooled in self._slots.items()
-                    if pooled.built
+                "slots": {key: dict(s.setup_events) for key, s in built.items()},
+                # ... and the host seconds those set-up stages took.
+                "slot_setup_seconds": {
+                    key: dict(s.setup_seconds) for key, s in built.items()
                 },
                 "hits": self.hits,
                 "misses": self.misses,

@@ -21,6 +21,7 @@ import scipy.sparse as sp
 
 from ..exceptions import ConfigurationError, ConvergenceError
 from ..preconditioners.block_jacobi import split_into_blocks
+from ..preconditioners.blocks import block_diagonal_csr, gather_diagonal_blocks
 
 #: The paper's convergence requirement for reconstruction systems.
 INNER_RTOL = 1e-14
@@ -48,14 +49,18 @@ def serial_block_jacobi(
     n = matrix.shape[0]
     if n == 0:
         return (lambda v: v), 0.0
-    dense_blocks: list[np.ndarray] = []
-    for lo, hi in split_into_blocks(n, max_block_size):
-        block = matrix[lo:hi, lo:hi].toarray()
+    sizes = np.array(
+        [hi - lo for lo, hi in split_into_blocks(n, max_block_size)], dtype=np.int64
+    )
+    blocks = gather_diagonal_blocks(matrix, sizes)
+    inverses = np.zeros_like(blocks)
+    for size in np.unique(sizes):  # at most two sizes: one stacked inv each
+        members = np.flatnonzero(sizes == size)
         try:
-            dense_blocks.append(np.linalg.inv(block))
+            inverses[members, :size, :size] = np.linalg.inv(blocks[members, :size, :size])
         except np.linalg.LinAlgError as exc:
-            raise ConfigurationError(f"inner block [{lo},{hi}) is singular: {exc}") from exc
-    operator = sp.block_diag(dense_blocks, format="csr")
+            raise ConfigurationError(f"an inner block of {size} rows is singular: {exc}") from exc
+    operator = block_diagonal_csr(inverses, sizes)
 
     def apply(v: np.ndarray) -> np.ndarray:
         return operator @ v

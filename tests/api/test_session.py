@@ -33,6 +33,26 @@ class TestSetupReuse:
         # 3 requested solves + the one cached reference run
         assert session.setup_events["solve"] == 4
 
+    def test_setup_seconds_accumulate_only_where_setup_happens(self, problem):
+        matrix, b, _meta = problem
+        session = SolverSession(matrix, b, n_nodes=4)
+        assert session.setup_seconds == {
+            "matrix": 0.0, "preconditioner": 0.0, "reference": 0.0
+        }
+        session.solve(SolveRequest(strategy="esr", phi=1))
+        cold = dict(session.setup_seconds)
+        assert cold["matrix"] > 0.0 and cold["preconditioner"] > 0.0
+        assert cold["reference"] == 0.0  # no reference was asked for
+        session.solve(SolveRequest(strategy="esr", phi=1), with_reference=True)
+        warm = dict(session.setup_seconds)
+        assert warm["reference"] > 0.0
+        # The reference solve reused the factorisation: stages do not nest.
+        assert (warm["matrix"], warm["preconditioner"]) == (
+            cold["matrix"], cold["preconditioner"]
+        )
+        session.solve(SolveRequest(strategy="esrp", T=10, phi=1), with_reference=True)
+        assert session.setup_seconds == warm  # warm solves set nothing up
+
     def test_reference_cached_per_preconditioner_and_rtol(self, problem):
         matrix, b, _meta = problem
         session = SolverSession(matrix, b, n_nodes=4)

@@ -161,6 +161,23 @@ class TestBlockJacobi:
         with pytest.raises(ConfigurationError):
             BlockJacobiPreconditioner(max_block_size=0)
 
+    def test_indefinite_block_names_rank_and_rows(self, spd40):
+        # Rank 2 owns rows [20, 30); with blocks of 5 its second block
+        # is local rows [5, 10).  Flip one pivot of that block only.
+        broken = spd40.tolil()
+        broken[27, 27] = -1.0
+        _, _, dmatrix = make_distributed(broken.tocsr(), 4)
+        with pytest.raises(ConfigurationError, match=r"rank 2 rows \[5,10\) is not SPD"):
+            BlockJacobiPreconditioner(max_block_size=5).setup(dmatrix)
+
+    @pytest.mark.parametrize("poison", [np.nan, np.inf])
+    def test_non_finite_entry_rejected_at_setup(self, spd40, poison):
+        broken = spd40.tolil()
+        broken[12, 11] = poison
+        _, _, dmatrix = make_distributed(broken.tocsr(), 4)
+        with pytest.raises(ConfigurationError, match=r"rank 1 rows \[0,10\) has non-finite"):
+            BlockJacobiPreconditioner().setup(dmatrix)
+
 
 class TestBlockSSOR:
     def test_apply_positive_definite_action(self, spd40):
@@ -180,6 +197,24 @@ class TestBlockSSOR:
         assert np.allclose(
             precond.solve_restricted([0], precond._apply_local(0, v)), v
         )
+
+    def test_cached_transpose_applies_byte_identically(self, spd40):
+        import scipy.sparse.linalg as spla
+
+        _, partition, dmatrix = make_distributed(spd40, 4)
+        precond = BlockSSORPreconditioner(omega=1.3)
+        precond.setup(dmatrix)
+        for rank in range(4):
+            v = np.random.default_rng(rank).standard_normal(partition.size_of(rank))
+            cached = precond._lower_t[rank]
+            applied = precond._apply_local(rank, v)
+            assert precond._lower_t[rank] is cached  # built at setup, not per apply
+            # The uncached path: transpose the factor for every back solve.
+            lower = precond._lower[rank]
+            y = spla.spsolve_triangular(lower, v, lower=True)
+            y *= precond._mid[rank]
+            expected = spla.spsolve_triangular(lower.T.tocsr(), y, lower=False)
+            assert applied.tobytes() == expected.tobytes()
 
     def test_omega_bounds(self):
         with pytest.raises(ConfigurationError):

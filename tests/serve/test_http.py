@@ -50,6 +50,10 @@ class TestRoutes:
         assert slot["matrix"] == 1
         assert slot["preconditioner"] == 2
         assert slot["solve"] >= 2
+        # Host seconds per setup stage, beside the counts.
+        seconds = body["pool"]["slot_setup_seconds"]["emilia_923_like:tiny:n4"]
+        assert set(seconds) == {"matrix", "preconditioner", "reference"}
+        assert seconds["matrix"] > 0.0 and seconds["preconditioner"] > 0.0
 
     def test_solve_round_trip(self, server):
         status, body = post_json(server.url + "/solve", payload())

@@ -26,6 +26,12 @@ class TestSerialBlockJacobi:
         apply, flops = serial_block_jacobi(sp.csr_matrix((0, 0)))
         assert flops == 0.0
 
+    def test_singular_block_rejected(self):
+        diagonal = np.ones(12)
+        diagonal[7] = 0.0  # the second of three 4-row blocks has no inverse
+        with pytest.raises(ConfigurationError, match="inner block of 4 rows is singular"):
+            serial_block_jacobi(sp.diags(diagonal, format="csr"), max_block_size=4)
+
 
 class TestInnerPCG:
     def test_solves_to_paper_tolerance(self):
