@@ -1,35 +1,27 @@
-"""Kernel-backend benchmark: ``looped`` vs ``vectorized`` vs ``compiled``.
+"""Kernel-backend benchmark: ``looped`` vs ``vectorized``.
 
 Runs the same solve set — the non-resilient reference, a failure-free
 ESRP solve, and an ESRP solve surviving one mid-trajectory failure —
-under every compute-kernel backend across the Poisson size tiers, and
+under both compute-kernel backends across the Poisson size tiers, and
 emits ``BENCH_kernels.json``.  The backends produce bit-identical
 reports (enforced here per cell, and property-tested in
 ``tests/properties/test_backend_equivalence.py``), so the wall-clock
 ratios are pure hot-path measurements.  Each cell also records a
 per-iteration-normalised ``seconds_per_iteration`` column so speedups
-are comparable across scales with different iteration counts.
+are comparable across scales with different iteration counts.  The
+payload carries a ``host`` stamp (``cpu_count``, library versions,
+whether numba imports, the BLAS thread setting).
 
 Gates (``--check``):
 
 * **headline** — the medium Poisson cell (20^3 = 8000 unknowns, 32
   virtual nodes) must show ``vectorized`` >= 3x over ``looped``
   (the historical per-rank-overhead gate).
-* **recorded floor** — at the memory-bound cells where the previous
-  sweep recorded the vectorized speedup decaying (2.27x at 32k, 1.59x
-  at 85k), the ``compiled`` speedup over ``looped`` must strictly
-  exceed the recorded vectorized number: the new backend has to beat
-  the decayed curve where it was measured, not just at friendly sizes.
-* **monotonicity** — the ``compiled``-over-``vectorized``
-  per-iteration advantage must not decay from ``medium`` through the
-  largest cell: every large-scale ratio must stay within 7% of the
-  medium baseline, or at minimum keep a >=1.02x absolute edge (the
-  parity floor — shared-host jitter may wobble a cell below the
-  baseline, but the advantage must never erode toward 1.0x, which is
-  exactly what happened to vectorized).  Vectorized's looped-relative
-  speedup *necessarily* decays toward the pure memory-traffic ratio
-  as Python overhead amortises; what must not decay is the margin the
-  fused chains and the one-traversal SpMV buy on top.
+* **recorded floor** — at the memory-bound cells where earlier sweeps
+  recorded the vectorized speedup decaying (2.27x at 32k, 1.59x at
+  85k, before the one-traversal SpMV and the fused CG tail moved into
+  ``vectorized``), its speedup must strictly exceed the recorded
+  number.
 
 Usage::
 
@@ -42,66 +34,49 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
+import os
 import pathlib
+import platform
 import sys
+
+import numpy as np
+import scipy
 
 import repro
 from repro.matrices import suite
 
 DEFAULT_OUT = pathlib.Path(__file__).resolve().parent.parent / "BENCH_kernels.json"
 
-ALL_BACKENDS = ("looped", "vectorized", "compiled")
+BACKENDS = ("looped", "vectorized")
 
-#: (scale, n_nodes, backends) cells of the full sweep; medium is the
-#: headline.  ``bench``/``large`` probe the memory-bound regime where
-#: the vectorized speedup was recorded decaying; ``xlarge`` (64^3 =
-#: 262 144) and ``huge`` (80^3 = 512 000) extend the curve far past the
-#: point where per-rank Python overhead matters at all.
+#: (scale, n_nodes) cells of the full sweep; medium is the headline,
+#: ``bench``/``large`` probe the memory-bound regime where the
+#: vectorized speedup was recorded decaying.
 CELLS = (
-    ("tiny", 8, ALL_BACKENDS),
-    ("small", 16, ALL_BACKENDS),
-    ("medium", 32, ALL_BACKENDS),
-    ("bench", 32, ALL_BACKENDS),
-    ("large", 32, ALL_BACKENDS),
-    ("xlarge", 32, ALL_BACKENDS),
-    ("huge", 32, ALL_BACKENDS),
+    ("tiny", 8),
+    ("small", 16),
+    ("medium", 32),
+    ("bench", 32),
+    ("large", 32),
 )
-#: Smoke cells: the fast registry/bit-identity sanity pass plus one
-#: genuinely large cell exercising the new fused machinery (looped is
-#: dropped there — it adds minutes of CI time and is gated in full runs).
+#: Smoke cells: the fast bit-identity sanity pass.
 SMOKE_CELLS = (
-    ("tiny", 8, ALL_BACKENDS),
-    ("small", 8, ALL_BACKENDS),
-    ("xlarge", 32, ("vectorized", "compiled")),
+    ("tiny", 8),
+    ("small", 8),
 )
 
 HEADLINE_SCALE = "medium"
 SPEEDUP_THRESHOLD = 3.0
 
-#: Vectorized-over-looped speedups recorded by the pre-``compiled``
-#: sweep (BENCH_kernels.json at PR 6) — the decayed numbers the
-#: ``compiled`` backend must strictly beat at the same cells.
+#: Vectorized-over-looped speedups this benchmark recorded before the
+#: one-traversal SpMV and the fused CG tail — the decayed numbers the
+#: ``vectorized`` backend must strictly beat at the same cells.
 RECORDED_VECTORIZED_SPEEDUP = {
     "bench": 2.27,   # n = 32 768
     "large": 1.59,   # n = 85 184
 }
-
-#: Multiplicative slack on the monotonicity gate: timing on a shared
-#: host jitters several percent per cell; a genuine decay trend shows
-#: up far larger (the vectorized-over-looped curve loses ~65% over the
-#: same range).  Each large-scale ratio is compared against the
-#: *medium baseline*, not its immediate neighbour — pairwise
-#: comparison would flag a single noisy spike as a "drop".
-MONOTONICITY_TOLERANCE = 0.93
-
-#: The failure mode the monotonicity gate exists to catch is the
-#: advantage eroding to *parity* (what happened to vectorized:
-#: 3.8x -> 1.2x and falling).  On a shared host the per-cell jitter
-#: (~+/-8%) can exceed the baseline tolerance without any real decay,
-#: so a below-baseline wobble only counts as a violation if the
-#: compiled backend's edge also drops below this absolute floor.
-ADVANTAGE_FLOOR = 1.02
 
 
 def _requests(reference_iterations: int) -> list[repro.SolveRequest]:
@@ -116,14 +91,25 @@ def _requests(reference_iterations: int) -> list[repro.SolveRequest]:
     ]
 
 
-def bench_cell(scale: str, n_nodes: int, backends, repeats: int) -> dict:
+def host_stamp() -> dict:
+    return {
+        "cpu_count": os.cpu_count() or 1,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "numba_importable": importlib.util.find_spec("numba") is not None,
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+    }
+
+
+def bench_cell(scale: str, n_nodes: int, repeats: int) -> dict:
     matrix, b, meta = suite.load("poisson3d", scale=scale)
     sessions = {
         backend: repro.SolverSession(matrix, b, n_nodes=n_nodes, backend=backend)
-        for backend in backends
+        for backend in BACKENDS
     }
     requests = None
-    timings: dict[str, float] = {backend: float("inf") for backend in backends}
+    timings: dict[str, float] = {backend: float("inf") for backend in BACKENDS}
     fingerprints: dict[str, tuple] = {}
     timed_iterations: dict[str, int] = {}
     # Repeats are interleaved across backends so slow drift in the host
@@ -143,42 +129,26 @@ def bench_cell(scale: str, n_nodes: int, backends, repeats: int) -> dict:
             timed_iterations[backend] = sum(
                 report.executed_iterations for report in reports
             )
-    baseline = backends[0]
-    for backend in backends[1:]:
-        if fingerprints[backend] != fingerprints[baseline]:
-            raise AssertionError(
-                f"backend results diverged on {scale}: "
-                f"{baseline}={fingerprints[baseline]} "
-                f"{backend}={fingerprints[backend]}"
-            )
-    iterations = timed_iterations[baseline]
-    row = {
+    if fingerprints["vectorized"] != fingerprints["looped"]:
+        raise AssertionError(
+            f"backend results diverged on {scale}: "
+            f"looped={fingerprints['looped']} "
+            f"vectorized={fingerprints['vectorized']}"
+        )
+    iterations = timed_iterations["looped"]
+    return {
         "scale": scale,
         "n": meta.n,
         "nnz": meta.nnz,
         "n_nodes": n_nodes,
-        "iterations": fingerprints[baseline][0][0],
+        "iterations": fingerprints["looped"][0][0],
         "timed_iterations": iterations,
-        "seconds": {backend: timings[backend] for backend in backends},
+        "seconds": dict(timings),
         "seconds_per_iteration": {
-            backend: timings[backend] / iterations for backend in backends
+            backend: timings[backend] / iterations for backend in BACKENDS
         },
+        "speedup": timings["looped"] / timings["vectorized"],
     }
-    if "looped" in timings:
-        row["speedups"] = {
-            backend: timings["looped"] / timings[backend]
-            for backend in backends
-            if backend != "looped"
-        }
-        # Back-compat alias: earlier sweeps stored the (then-only)
-        # looped/vectorized ratio under the scalar key "speedup".
-        if "vectorized" in timings:
-            row["speedup"] = row["speedups"]["vectorized"]
-    if "vectorized" in timings and "compiled" in timings:
-        row["compiled_vs_vectorized"] = (
-            timings["vectorized"] / timings["compiled"]
-        )
-    return row
 
 
 def _fmt_row(row: dict) -> str:
@@ -187,101 +157,50 @@ def _fmt_row(row: dict) -> str:
     ]
     for backend, seconds in row["seconds"].items():
         parts.append(f"{backend}={seconds * 1e3:8.1f} ms")
-    for backend, ratio in row.get("speedups", {}).items():
-        parts.append(f"{backend[0]}x{ratio:5.2f}")
-    if "compiled_vs_vectorized" in row:
-        parts.append(f"c/v={row['compiled_vs_vectorized']:.2f}")
+    parts.append(f"vx{row['speedup']:5.2f}")
     return "  ".join(parts)
 
 
-def check_monotonicity(rows: list[dict]) -> dict:
-    """The compiled-over-vectorized curve from ``medium`` upward.
-
-    Gate: no ratio past ``medium`` may fall below the medium baseline
-    (times :data:`MONOTONICITY_TOLERANCE`) — i.e. the compiled
-    backend's advantage must not decay as n grows, unlike the
-    vectorized-over-looped speedup it was built to rescue.
-    """
-    scales = [
-        row["scale"] for row in rows
-        if "compiled_vs_vectorized" in row
-    ]
-    if HEADLINE_SCALE not in scales:
-        return {"checked": False, "reason": f"no {HEADLINE_SCALE} cell"}
-    curve = [
-        (row["scale"], row["compiled_vs_vectorized"])
-        for row in rows
-        if "compiled_vs_vectorized" in row
-        and scales.index(row["scale"]) >= scales.index(HEADLINE_SCALE)
-    ]
-    baseline = curve[0][1]
-    # A violation must both fall below the baseline (beyond noise
-    # tolerance) *and* erode toward parity — see ADVANTAGE_FLOOR.
-    threshold = min(baseline * MONOTONICITY_TOLERANCE, ADVANTAGE_FLOOR)
-    violations = [
-        f"{HEADLINE_SCALE}->{scale}: {baseline:.3f} -> {ratio:.3f}"
-        f" (threshold {threshold:.3f})"
-        for scale, ratio in curve[1:]
-        if ratio < threshold
-    ]
-    return {
-        "checked": True,
-        "curve": {scale: ratio for scale, ratio in curve},
-        "baseline": baseline,
-        "tolerance": MONOTONICITY_TOLERANCE,
-        "advantage_floor": ADVANTAGE_FLOOR,
-        "threshold": threshold,
-        "violations": violations,
-        "passed": not violations,
-    }
-
-
 def check_recorded_floor(rows: list[dict]) -> dict:
-    """Compiled speedup vs the recorded (decayed) vectorized numbers."""
+    """Vectorized speedup vs the recorded (decayed) pre-merge numbers."""
     comparisons = {}
-    passed = True
     for row in rows:
         recorded = RECORDED_VECTORIZED_SPEEDUP.get(row["scale"])
-        compiled_speedup = row.get("speedups", {}).get("compiled")
-        if recorded is None or compiled_speedup is None:
+        if recorded is None:
             continue
-        ok = compiled_speedup > recorded
-        passed = passed and ok
         comparisons[row["scale"]] = {
             "recorded_vectorized": recorded,
-            "compiled": compiled_speedup,
-            "passed": ok,
+            "vectorized": row["speedup"],
+            "passed": row["speedup"] > recorded,
         }
     return {
         "checked": bool(comparisons),
         "comparisons": comparisons,
-        "passed": passed,
+        "passed": all(c["passed"] for c in comparisons.values()),
     }
 
 
 def run(cells, repeats: int) -> dict:
     rows = []
-    for scale, n_nodes, backends in cells:
-        row = bench_cell(scale, n_nodes, backends, repeats)
+    for scale, n_nodes in cells:
+        row = bench_cell(scale, n_nodes, repeats)
         rows.append(row)
         print(_fmt_row(row), flush=True)
     headline = next((r for r in rows if r["scale"] == HEADLINE_SCALE), None)
     return {
-        "benchmark": "kernel backends: looped vs vectorized vs compiled",
+        "benchmark": "kernel backends: looped vs vectorized",
         "problem": "poisson3d (7-point 3-D Poisson)",
         "timed_solves": "reference + ESRP(T=20) + ESRP(T=20, 1 failure)",
         "metric": "min over interleaved repeats of summed solver wall-clock "
         "seconds; seconds_per_iteration normalises by executed iterations",
+        "host": host_stamp(),
         "results": rows,
         "headline": {
             "scale": HEADLINE_SCALE,
-            "speedup": headline.get("speedup") if headline else None,
+            "speedup": headline["speedup"] if headline else None,
             "threshold": SPEEDUP_THRESHOLD,
-            "passed": bool(
-                headline and (headline.get("speedup") or 0) >= SPEEDUP_THRESHOLD
-            ),
+            "passed": bool(headline and headline["speedup"] >= SPEEDUP_THRESHOLD),
         },
-        "monotonicity": check_monotonicity(rows),
         "recorded_floor": check_recorded_floor(rows),
     }
 
@@ -294,20 +213,16 @@ def _check(payload: dict, smoke: bool) -> int:
             f"medium-Poisson speedup {headline['speedup']:.2f}x "
             f"< {SPEEDUP_THRESHOLD}x"
         )
-    for name in ("monotonicity", "recorded_floor"):
-        gate = payload[name]
-        if not gate.get("checked"):
-            print(f"NOTE: {name} gate skipped: "
-                  f"{gate.get('reason', 'cells not present in this run')}")
-            continue
-        if not gate["passed"]:
-            detail = gate.get("violations") or [
-                f"{scale}: compiled {c['compiled']:.2f}x <= "
-                f"recorded {c['recorded_vectorized']}x"
-                for scale, c in gate.get("comparisons", {}).items()
-                if not c["passed"]
-            ]
-            failures.append(f"{name} gate: " + "; ".join(detail))
+    floor = payload["recorded_floor"]
+    if not floor["checked"]:
+        print("NOTE: recorded_floor gate skipped: cells not present in this run")
+    elif not floor["passed"]:
+        failures.append("recorded_floor gate: " + "; ".join(
+            f"{scale}: vectorized {c['vectorized']:.2f}x <= "
+            f"recorded {c['recorded_vectorized']}x"
+            for scale, c in floor["comparisons"].items()
+            if not c["passed"]
+        ))
     if smoke:
         # Smoke cells are too small/noisy to hold the perf gates to
         # account; bit-identity was already asserted per cell above.
@@ -326,20 +241,12 @@ def _check(payload: dict, smoke: bool) -> int:
     if headline["speedup"] is not None:
         print(f"check passed: headline {headline['speedup']:.2f}x >= "
               f"{SPEEDUP_THRESHOLD}x")
-    mono = payload["monotonicity"]
-    if mono.get("checked"):
-        curve = "  ".join(f"{s}={r:.2f}" for s, r in mono["curve"].items())
-        print(f"check passed: compiled/vectorized advantage holds from "
-              f"{HEADLINE_SCALE} up (threshold {mono['threshold']:.3f}) "
-              f"[{curve}]")
-    floor = payload["recorded_floor"]
-    if floor.get("checked"):
+    if floor["checked"]:
         beats = "  ".join(
-            f"{s}: {c['compiled']:.2f}x > {c['recorded_vectorized']}x"
+            f"{s}: {c['vectorized']:.2f}x > {c['recorded_vectorized']}x"
             for s, c in floor["comparisons"].items()
         )
-        print(f"check passed: compiled beats recorded vectorized floor "
-              f"[{beats}]")
+        print(f"check passed: vectorized beats its recorded floor [{beats}]")
     return 0
 
 
@@ -354,7 +261,7 @@ def main(argv=None) -> int:
                         "--check verifies bit-identity, not perf gates")
     parser.add_argument("--check", action="store_true",
                         help="exit non-zero unless every gate passes "
-                        "(headline, recorded floor, monotonicity)")
+                        "(headline, recorded floor)")
     args = parser.parse_args(argv)
 
     cells = SMOKE_CELLS if args.smoke else CELLS

@@ -11,9 +11,9 @@ taxonomy; this demo walks its flagship member, silent data corruption:
    converge to the reference solution;
 2. run the *same* corruption under a blind exact strategy (``esrp``)
    and show it silently converging to a wrong answer — the recursive
-   residual stays consistent while x drifts;
-3. replay both on the ``compiled`` kernel backend and check the event
-   log and counters are identical (fault injection is backend-invariant).
+   residual stays consistent while x drifts.
+
+Fault injection is backend-invariant; ``tests/faults`` pins that.
 
 Run:  python examples/faults_demo.py
 """
@@ -89,24 +89,12 @@ def main() -> None:
     print(f"  solution error vs reference: {blind_error:.2e} "
           f"(pv: {checked_error:.2e})\n")
 
-    # 3. Backend invariance: the compiled backend sees the same faults.
-    replay = repro.solve(
-        matrix, b, n_nodes=N_NODES, strategy="pv", T=10, phi=1,
-        failures=corruption(), backend="compiled",
-    )
-    identical = (
-        np.array_equal(replay.x, checked.x)
-        and fault_counters(replay) == fault_counters(checked)
-    )
-    print(f"compiled-backend replay bit-identical: {identical}")
-
     # The demo doubles as a CI gate.
-    assert checked.converged and blind.converged and replay.converged
+    assert checked.converged and blind.converged
     assert len(detections) == 1 and len(rollbacks) >= 1
     assert fault_counters(checked)["sdc_detected"] == 1
     assert "sdc_detected" not in fault_counters(blind)
     assert checked_error < 1e-6 < blind_error
-    assert identical
     print("faults demo OK")
 
 

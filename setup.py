@@ -29,9 +29,6 @@ setup(
         "scipy>=1.7",
     ],
     extras_require={
-        # JIT-compiled hot loops for the 'compiled' kernel backend;
-        # without it the backend degrades to hand-fused numpy.
-        "compiled": ["numba>=0.57"],
         # The explicit fat-tree graph (FatTree.graph() and its
         # shortest-path cross-check); hop counts are closed-form and
         # nothing on the solve path imports it.

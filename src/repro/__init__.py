@@ -226,10 +226,9 @@ def solve(
     rule:
         ASpMV extra-entry selection rule (``"paper"`` or ``"greedy"``).
     backend:
-        Compute-kernel backend (``"looped"``, ``"vectorized"`` or
-        ``"compiled"``; any registered name).  ``None`` keeps the
-        default (``REPRO_BACKEND`` or vectorized) — or, with an
-        adopted ``cluster``, that cluster's backend.
+        Compute-kernel backend (``"looped"`` or ``"vectorized"``; any
+        registered name).  ``None`` keeps the default (vectorized) — or,
+        with an adopted ``cluster``, that cluster's backend.
 
     Inputs are validated eagerly: unknown strategy/preconditioner
     names, ``maxiter < 1`` and ``phi >= n_nodes`` raise

@@ -105,8 +105,7 @@ class SolverSession:
         backend:
             Compute-kernel backend for this session's solves (any name
             in the :data:`~repro.api.registry.KERNELS` registry);
-            ``None`` (default) picks the library default — the
-            ``REPRO_BACKEND`` environment variable if set, else
+            ``None`` (default) picks the library default,
             ``"vectorized"``.  Individual requests may override it via
             ``SolveRequest(backend=...)``.
         cache_dir:
@@ -129,9 +128,9 @@ class SolverSession:
         self._cluster = cluster
         self._n_nodes = int(cluster.n_nodes if cluster is not None else n_nodes)
         if backend is None:
-            from ..kernels.base import default_backend
+            from ..kernels.base import DEFAULT_BACKEND
 
-            backend = default_backend()
+            backend = DEFAULT_BACKEND
         self._backend = KERNELS.resolve(backend)
         if cache_dir is True:
             cache_dir = DEFAULT_CACHE_DIR

@@ -96,8 +96,8 @@ def _build_parser() -> argparse.ArgumentParser:
     solve_cmd.add_argument("--preconditioner", default="block_jacobi",
                            choices=available_preconditioners())
     solve_cmd.add_argument("--backend", default=None,
-                           help="compute-kernel backend (looped|vectorized|"
-                           "compiled; default: REPRO_BACKEND or vectorized)")
+                           help="compute-kernel backend (looped|vectorized; "
+                           "default: vectorized)")
     solve_cmd.add_argument("--rtol", type=float, default=1e-8)
     solve_cmd.add_argument("--fail", action="append", default=[],
                            metavar="ITER:RANKS",
@@ -141,7 +141,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="override the spec's repetitions per cell")
     run_cmd.add_argument("--backends", default=None, metavar="NAMES",
                          help="comma-separated kernel backends to sweep "
-                         "(overrides the spec, e.g. vectorized,compiled)")
+                         "(overrides the spec, e.g. looped,vectorized)")
     from .api.session import DEFAULT_CACHE_DIR
 
     run_cmd.add_argument("--cache-dir", nargs="?", const=DEFAULT_CACHE_DIR,

@@ -281,8 +281,8 @@ class FlatRedundancyCache:
     Mirrors the traversal order of the per-rank reference loop exactly
     — for each source rank in ascending order: the non-empty natural
     send descriptors, then the extra redundancy transfers — so that the
-    fused execution stashes the same pieces, charges the same message
-    phase and fills the same ghost entries, bit for bit.
+    fused execution stashes the same pieces and charges the same
+    message phase, bit for bit.
 
     * ``stash_gather`` — global indices whose single fused gather
       ``packed = x_flat[stash_gather]`` yields every communicated piece
@@ -388,8 +388,7 @@ class ASpMVExecutor(SpMVExecutor):
         out: DistributedVector | None = None,
     ) -> DistributedVector:
         """``out = A @ x`` while storing a redundant copy of ``x``."""
-        if out is None:
-            out = DistributedVector(self.matrix.cluster, self.matrix.partition)
+        out = self._output(x, out)
         self.kernels.aspmv(self, x, iteration, queue, out)
         return out
 

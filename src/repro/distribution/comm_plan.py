@@ -15,8 +15,12 @@ SpMV.
   positions in ``l``'s ghost buffer (for unpacking);
 * for every node: the sorted ghost-column index list and a
   column-compressed local CSR matrix whose columns are
-  ``[own block | ghost block]``, so the local product is a single
-  ``csr @ dense`` call.
+  ``[own block | ghost block]``, so the per-rank (``looped``) local
+  product is a single ``csr @ dense`` call.
+
+The ``vectorized`` backend uses only the plan's *billing*: it charges
+the same halo messages and flops, but multiplies the global CSR matrix
+against the flat vector, with no ghost copy (:class:`FlatPlanCache`).
 """
 
 from __future__ import annotations
@@ -161,11 +165,9 @@ class SpMVPlan:
     # --------------------------------------------------- fused-kernel caches
 
     def flat_cache(self) -> "FlatPlanCache":
-        """Precomputed gather indices and the stacked operator.
+        """Per-plan constants of the ``vectorized`` kernel backend.
 
-        Built once per plan on first use by the ``vectorized`` kernel
-        backend; see :class:`FlatPlanCache` for the invariants that make
-        the fused execution bit-identical to the per-rank loops.
+        Built once per plan on first use; see :class:`FlatPlanCache`.
         """
         if self._flat_cache is None:
             self._flat_cache = FlatPlanCache(self)
@@ -192,89 +194,26 @@ class SpMVPlan:
 
 
 class FlatPlanCache:
-    """Index/operator caches for the fused (vectorized) SpMV.
+    """Per-plan constants of the fused (vectorized) SpMV.
 
-    * ``ghost_offsets[r]`` — where rank ``r``'s ghost buffer begins in
-      the fused ghost array (rank-major, each buffer in sorted
-      ghost-index order, exactly like the per-rank buffers).
-    * ``ghost_gather`` — global indices such that
-      ``ghost_flat = x_flat[ghost_gather]`` fills every rank's ghost
-      buffer in one gather.  Each ghost entry has exactly one owner, so
-      this covers the fused buffer exactly once and yields the same
-      values the per-descriptor scatter produces.
-    * ``stacked_matrix`` — the ``(n, n + G)`` CSR operator whose rows
-      are the per-rank column-compressed row blocks with columns
-      remapped onto ``[x_flat | ghost_flat]``.  The per-row data order
-      of the local matrices is preserved, so
-      ``stacked_matrix @ concat(x_flat, ghost_flat)`` accumulates every
-      row in the same order as the per-rank products — bit-identical
-      results.
+    The fused product needs no operator of its own: it multiplies
+    :attr:`~repro.distribution.matrix.DistributedMatrix.global_csr`
+    against the flat input vector.  Row slicing keeps each row's entry
+    order, so the global rows hold the per-rank local rows' entries in
+    the same order (only the column compression differs), and every row
+    sums exactly as the per-rank ``local @ [own | ghosts]`` product
+    does.  The halo exchange is billed, not copied: the ghost values
+    the local matrices would read are the entries of the flat vector
+    itself.
+
+    * ``total_ghosts`` — ghost entries summed over all ranks (the halo
+      volume one SpMV moves on the virtual cluster).
     * ``local_flops`` — the per-rank SpMV bill ``(rank, 2 * nnz_r)``
       for the batched :meth:`~repro.cluster.communicator.VirtualCluster.charge`.
     """
 
     def __init__(self, plan: SpMVPlan):
-        partition = plan.partition
-        n = partition.n
-        sizes = [int(g.size) for g in plan.ghost_globals]
-        self.ghost_offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
-        self.total_ghosts = int(self.ghost_offsets[-1])
-        self.ghost_gather = (
-            np.concatenate(plan.ghost_globals)
-            if self.total_ghosts
-            else np.empty(0, dtype=np.int64)
-        ).astype(np.int64)
-
-        data_parts: list[np.ndarray] = []
-        index_parts: list[np.ndarray] = []
-        indptr_parts: list[np.ndarray] = [np.zeros(1, dtype=np.int64)]
-        running = 0
-        for rank, local in enumerate(plan.local_matrices):
-            lo, hi = partition.bounds(rank)
-            n_local = hi - lo
-            cols = local.indices.astype(np.int64)
-            remapped = np.where(
-                cols < n_local,
-                cols + lo,
-                cols - n_local + n + int(self.ghost_offsets[rank]),
-            )
-            data_parts.append(local.data)
-            index_parts.append(remapped)
-            indptr_parts.append(local.indptr[1:].astype(np.int64) + running)
-            running += int(local.indptr[-1])
-        self.stacked_matrix = sp.csr_matrix(
-            (
-                np.concatenate(data_parts) if data_parts else np.empty(0),
-                np.concatenate(index_parts) if index_parts else np.empty(0, dtype=np.int64),
-                np.concatenate(indptr_parts),
-            ),
-            shape=(n, n + self.total_ghosts),
-        )
+        self.total_ghosts = sum(int(g.size) for g in plan.ghost_globals)
         self.local_flops = tuple(
             (rank, 2 * int(nnz)) for rank, nnz in enumerate(plan.local_nnz)
         )
-        self._fused_matrix: sp.csr_matrix | None = None
-
-    def fused_matrix(self) -> sp.csr_matrix:
-        """The ``(n, n)`` operator with the plan's per-row data order.
-
-        Remaps the stacked operator's ghost columns through
-        ``ghost_gather`` (each ghost column reads the entry its gather
-        would have copied), so ``fused_matrix @ x_flat`` needs neither
-        the ghost gather nor the stacked-input copy — halo assembly and
-        matvec collapse into one traversal.  Per-row data order (and
-        with it every row's summation order) is untouched, so the
-        product is bit-identical to the stacked one.  Built lazily: only
-        the ``compiled`` backend pays for the second index array.
-        """
-        if self._fused_matrix is None:
-            stacked = self.stacked_matrix
-            n = stacked.shape[0]
-            indices = stacked.indices.astype(np.int64, copy=True)
-            ghost = indices >= n
-            if ghost.any():
-                indices[ghost] = self.ghost_gather[indices[ghost] - n]
-            self._fused_matrix = sp.csr_matrix(
-                (stacked.data, indices, stacked.indptr), shape=(n, n)
-            )
-        return self._fused_matrix

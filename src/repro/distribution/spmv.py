@@ -8,10 +8,11 @@ multiplies its column-compressed row block against
 
 *How* the two phases execute is delegated to the cluster's
 compute-kernel backend (:mod:`repro.kernels`): the ``looped`` backend
-walks the send descriptors and node blocks one by one; the
-``vectorized`` backend performs the ghost fill as a single precomputed
-gather and the local products as one stacked CSR matvec, with the same
-messages charged and bit-identical results.
+walks the send descriptors and node blocks one by one, copying every
+ghost entry into per-rank buffers; the ``vectorized`` backend bills the
+same messages without copying anything and multiplies
+:attr:`~repro.distribution.matrix.DistributedMatrix.global_csr` against
+the flat input in one in-place matvec, with bit-identical results.
 """
 
 from __future__ import annotations
@@ -29,28 +30,18 @@ HALO_CHANNEL = "spmv_halo"
 class SpMVExecutor:
     """Executes the plain distributed SpMV for one matrix.
 
-    Reusable across iterations: the ghost buffers are allocated once as
-    one fused array (``_ghost_flat``) with per-rank views
-    (``_ghost_buffers``), so both kernel backends share the same
-    storage.
+    Reusable across iterations: the per-rank ghost buffers (read only
+    by backends that copy the halo, i.e. ``looped``) are allocated
+    once.
     """
 
     def __init__(self, matrix: DistributedMatrix):
         self.matrix = matrix
         self.cluster = matrix.cluster
         self.plan = matrix.plan
-        cache = self.plan.flat_cache()
-        n = self.matrix.partition.n
-        #: Reusable ``[x_flat | ghost_flat]`` input of the stacked
-        #: matvec.  The ghost storage *aliases its tail*, so the halo
-        #: fill lands directly in matvec position and the per-iteration
-        #: ghost copy disappears (the large-n stacked matvec is
-        #: memory-bound; every avoided pass over the ghost block counts).
-        self._spmv_input = np.zeros(n + cache.total_ghosts, dtype=np.float64)
-        self._ghost_flat = self._spmv_input[n:]
         self._ghost_buffers = [
-            self._ghost_flat[cache.ghost_offsets[rank] : cache.ghost_offsets[rank + 1]]
-            for rank in range(self.plan.n_nodes)
+            np.zeros(ghosts.size, dtype=np.float64)
+            for ghosts in self.plan.ghost_globals
         ]
 
     @property
@@ -73,15 +64,31 @@ class SpMVExecutor:
             self.plan._compiled_exchanges[channel] = compiled
         return compiled
 
+    def _output(
+        self, x: DistributedVector, out: DistributedVector | None
+    ) -> DistributedVector:
+        """``out``, or a fresh result vector when it is ``None``.
+
+        The local product writes ``out`` while it still reads ``x``, so
+        an ``out`` sharing ``x``'s storage would silently corrupt the
+        result; it is refused.
+        """
+        if out is None:
+            return DistributedVector(self.matrix.cluster, self.matrix.partition)
+        if np.shares_memory(out.data, x.data):
+            raise ConfigurationError(
+                "SpMV output vector shares storage with its input"
+            )
+        return out
+
     # ------------------------------------------------------------------ phases
 
     def exchange_halo(self, x: DistributedVector, channel: str = HALO_CHANNEL) -> None:
         """Phase 1: communicate the ghost entries of ``x``.
 
         Every non-empty ``I_{src,dst}`` becomes one message of
-        ``count * 8`` bytes; the payload really is copied into the
-        destination's ghost buffer.  All messages belong to one
-        concurrent phase (charged via :meth:`VirtualCluster.exchange`).
+        ``count * 8`` bytes.  All messages belong to one concurrent
+        phase (charged via :meth:`VirtualCluster.exchange`).
         """
         self.kernels.halo_exchange(self, x, channel)
 
@@ -97,11 +104,14 @@ class SpMVExecutor:
         out: DistributedVector | None = None,
         channel: str = HALO_CHANNEL,
     ) -> DistributedVector:
-        """``out = A @ x`` with communication and computation charged."""
+        """``out = A @ x`` with communication and computation charged.
+
+        ``out`` must not share ``x``'s storage
+        (:class:`~repro.exceptions.ConfigurationError`).
+        """
         if x.partition != self.matrix.partition:
             raise ConfigurationError("vector partition does not match matrix partition")
-        if out is None:
-            out = DistributedVector(self.matrix.cluster, self.matrix.partition)
+        out = self._output(x, out)
         self.exchange_halo(x, channel=channel)
         self.local_multiply(x, out)
         return out

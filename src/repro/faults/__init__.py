@@ -45,8 +45,8 @@ Injection-hook contract
   ``CampaignResult``.
 * **Backend invariance.** Corruption mutates owned numpy blocks
   elementwise and consults no kernel code, so outcomes are identical
-  under ``looped``, ``vectorized``, and ``compiled`` backends (which
-  are bit-identical by contract).
+  under the ``looped`` and ``vectorized`` backends (which are
+  bit-identical by contract).
 * **Counting.** Every injected fault increments a ``faults[<kind>]``
   counter in ``ClusterStats`` (via ``VirtualCluster.record_fault``);
   detections and rollbacks increment ``faults[sdc_detected]`` /

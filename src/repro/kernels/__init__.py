@@ -13,25 +13,17 @@ Backend comparison
 backend        semantics / fusion level              when to pick it
 =============  ====================================  ==========================
 ``looped``     Per-rank reference loops; charges     Verification only: it is
-               incurred inside the numeric loop,     the baseline the property
-               exactly like a rank-per-process       suite pins the others
+               incurred inside the numeric loop,     the oracle the property
+               exactly like a rank-per-process       suite pins ``vectorized``
                implementation.  No fusion.           against.  Deprecated for
                                                      production use.
-``vectorized`` Fused flat-array numpy: whole-array   The safe default on any
-               elementwise ops, one precomputed      install — pure
-               ghost gather, one stacked CSR         numpy/scipy, uniformly
-               matvec, billing declared              faster than ``looped``.
-               analytically per operation.
-``compiled``   Fused *chains*: the PCG tail          Large problems (n >~ 32k)
-               (axpy+axpy, precondition, fused       where the ``vectorized``
-               dot pair, aypx) runs as one backend   speedup decays into
-               hook with single-pass sweeps          memory traffic.  JIT
-               (JIT-compiled via numba when the      needs the ``[compiled]``
-               ``repro[compiled]`` extra is          extra; without numba it
-               installed), and the SpMV multiplies   degrades gracefully
-               a ghost-free remapped operator with   (one warning, hand-fused
-               no per-iteration gather or input      numpy, bit-identical).
-               copy.
+``vectorized`` Fused flat-array numpy: whole-array   Everything else (the
+               elementwise ops, the halo exchange    default) — pure
+               billed without a ghost copy, one      numpy/scipy, uniformly
+               in-place CSR matvec of the global     faster than ``looped``.
+               matrix, the PCG tail as one hook,
+               billing declared analytically per
+               operation.
 =============  ====================================  ==========================
 
 All backends are **bit-identical** and **accounting-identical** by
@@ -40,8 +32,8 @@ floating-point results, same
 :class:`~repro.cluster.statistics.ClusterStats`, same simulated clocks,
 same cost-noise RNG consumption — across backends, for every strategy
 and failure scenario.  ``tests/properties/test_backend_equivalence.py``
-enforces it; ``benchmarks/bench_kernels.py`` measures the speedups and
-gates their scaling behaviour (``BENCH_kernels.json``).
+enforces it; ``benchmarks/bench_kernels.py`` measures and gates the
+speedup of ``vectorized`` over ``looped`` (``BENCH_kernels.json``).
 
 Selection and registration
 --------------------------
@@ -58,38 +50,31 @@ built-ins are ordinary registrations and third-party backends join via
         ...
 
 The backend is a property of the virtual cluster
-(``VirtualCluster(n, kernels="compiled")``, reassignable at any time);
+(``VirtualCluster(n, kernels="looped")``, reassignable at any time);
 the service layer selects it per session
-(``SolverSession(..., backend="compiled")``) or per request
-(``SolveRequest(backend="compiled")``), and campaign specs sweep it
-(``CampaignSpec(backends=("vectorized", "compiled"))``) so stored
-records can A/B backends.  Where no backend is named, the
-``REPRO_BACKEND`` environment variable overrides the library default
-(:func:`default_backend`).
+(``SolverSession(..., backend="looped")``) or per request
+(``SolveRequest(backend="looped")``), and campaign specs sweep it
+(``CampaignSpec(backends=("looped", "vectorized"))``) so stored
+records can A/B backends.  Where no backend is named,
+:data:`DEFAULT_BACKEND` (``"vectorized"``) runs.
 """
 
 from __future__ import annotations
 
 from .base import (
-    BACKEND_ENV,
     DEFAULT_BACKEND,
     KernelBackend,
     available_backends,
-    default_backend,
     resolve_backend,
 )
-from .compiled import CompiledBackend
 from .looped import LoopedBackend
 from .vectorized import VectorizedBackend
 
 __all__ = [
-    "BACKEND_ENV",
     "DEFAULT_BACKEND",
-    "CompiledBackend",
     "KernelBackend",
     "LoopedBackend",
     "VectorizedBackend",
     "available_backends",
-    "default_backend",
     "resolve_backend",
 ]

@@ -42,10 +42,7 @@ backends on a live session never recomputes a plan.
 from __future__ import annotations
 
 import abc
-import os
 from typing import TYPE_CHECKING, Sequence
-
-import numpy as np
 
 from ..api.registry import KERNELS
 from ..exceptions import ConfigurationError
@@ -109,7 +106,11 @@ class KernelBackend(abc.ABC):
     def halo_exchange(
         self, executor: "SpMVExecutor", x: "DistributedVector", channel: str
     ) -> None:
-        """Move the ghost entries of ``x`` and charge the message phase."""
+        """Charge the message phase of the ghost entries of ``x``.
+
+        A backend whose local product reads ghost buffers also fills
+        them here; one that reads ``x`` directly only bills.
+        """
 
     @abc.abstractmethod
     def spmv_local(
@@ -118,7 +119,10 @@ class KernelBackend(abc.ABC):
         x: "DistributedVector",
         out: "DistributedVector",
     ) -> None:
-        """``out = A_local @ [own | ghosts]`` per node, with flop billing."""
+        """``out = A_local @ [own | ghosts]`` per node, with flop billing.
+
+        ``out`` never shares ``x``'s storage (the executor refuses it).
+        """
 
     @abc.abstractmethod
     def aspmv(
@@ -188,29 +192,14 @@ class KernelBackend(abc.ABC):
         return f"{type(self).__name__}(name={self.name!r})"
 
 
-#: The backend new clusters use unless told otherwise.
+#: The backend new clusters and sessions use unless told otherwise.
 DEFAULT_BACKEND = "vectorized"
-
-#: Environment variable overriding the library default backend by name
-#: (e.g. ``REPRO_BACKEND=compiled``); consulted wherever no backend is
-#: specified explicitly.
-BACKEND_ENV = "REPRO_BACKEND"
-
-
-def default_backend() -> str:
-    """The backend name used when none is requested explicitly.
-
-    :data:`BACKEND_ENV` (``REPRO_BACKEND``) overrides the library
-    default, so a whole process — CLI runs, test suites, CI legs — can
-    be switched without touching call sites.
-    """
-    return os.environ.get(BACKEND_ENV, "").strip() or DEFAULT_BACKEND
 
 
 def resolve_backend(backend: "str | KernelBackend | None") -> KernelBackend:
     """Materialise a backend from a registered name (or pass one through)."""
     if backend is None:
-        backend = default_backend()
+        backend = DEFAULT_BACKEND
     if isinstance(backend, KernelBackend):
         return backend
     instance = KERNELS.create(backend)

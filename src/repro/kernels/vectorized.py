@@ -6,16 +6,23 @@ block views, so:
 * elementwise updates (axpy/aypx/scale/subtract/assign) run as a single
   whole-array NumPy operation — elementwise rounding is independent of
   loop batching, so the results equal the per-rank loop bit for bit;
-* the SpMV halo fill is one precomputed gather
-  (``ghost_flat = x_flat[ghost_gather]``) instead of one fancy-indexing
-  pass per send descriptor;
-* the per-node row-block products run as one stacked CSR matvec against
-  ``[x_flat | ghost_flat]`` (per-row data order preserved → identical
-  row sums);
+* the halo exchange is *billed, not copied*: the message phase is
+  charged through one precompiled
+  :meth:`~repro.cluster.communicator.VirtualCluster.exchange_compiled`
+  call, but no ghost buffer is filled, because nothing here reads one;
+* the SpMV is one in-place CSR matvec of
+  :attr:`~repro.distribution.matrix.DistributedMatrix.global_csr`
+  against ``x_flat``.  Row slicing keeps each row's entry order, so the
+  global operator's rows *are* the per-node local rows (their columns
+  merely un-compressed): every row sums the same products in the same
+  order as the per-rank ``local @ [own | ghosts]`` products;
 * dot products keep the *reference accumulation order* (one partial dot
   per contiguous block view, accumulated in ascending rank order) —
   fusing the reduction across block boundaries would change the
   floating-point result, so only the billing is batched here;
+* the PCG tail (:meth:`VectorizedBackend.cg_update`) runs as one hook:
+  both axpys, the preconditioner, one sweep over the node blocks for
+  the ``r.z`` / ``r.r`` pair, then the aypx;
 * all per-rank bills are declared analytically — precomputed
   ``(rank, amount)`` profiles handed to the batched
   :meth:`~repro.cluster.communicator.VirtualCluster.charge` API in the
@@ -42,10 +49,9 @@ try:  # pragma: no cover - exercised via spmv_local on any scipy we support
     # itself is built on: ``y += A @ x`` into a caller-owned output.
     # Routing around the operator avoids allocating a fresh result
     # array (and the follow-up copy into ``out.data``) every
-    # iteration — at >= 32k unknowns the stacked matvec is
-    # memory-bound and that dead traffic is measurable.  Same kernel,
-    # same row-major accumulation order, bit-identical results
-    # (enforced by tests/properties/test_backend_equivalence.py).
+    # iteration.  Same kernel, same row-major accumulation order,
+    # bit-identical results (enforced by
+    # tests/properties/test_backend_equivalence.py).
     from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
 except ImportError:  # pragma: no cover - ancient/exotic scipy builds
     _csr_matvec = None
@@ -60,14 +66,6 @@ class VectorizedBackend(KernelBackend):
     """Fused flat-array execution with analytically declared billing."""
 
     name = "vectorized"
-
-    #: Whether this backend materialises the ghost buffers during the
-    #: halo phases.  The stacked matvec reads ``[x_flat | ghost_flat]``,
-    #: so the fill is load-bearing here; the ``compiled`` subclass
-    #: multiplies a ghost-free remapped operator against ``x_flat``
-    #: directly and turns the fill off (the exchange is still charged —
-    #: the *bytes* still move on the virtual cluster).
-    _fills_ghosts = True
 
     # ------------------------------------------------------- vector arithmetic
 
@@ -117,23 +115,51 @@ class VectorizedBackend(KernelBackend):
         cluster.allreduce(len(others) * BYTES_PER_FLOAT)
         return partials
 
+    # ------------------------------------------------------------ fused chains
+
+    def cg_update(self, x, r, z, p, rho, alpha, rz_old, preconditioner):
+        cluster = x.cluster
+        profile2 = x.partition.charge_profile(2)
+        # Identical charge sequence to the default composition: the two
+        # axpy bills land before either vector is touched (dead ranks
+        # raise before any update, per the backend contract).
+        cluster.charge_compute(profile2)
+        cluster.charge_compute(profile2)
+        x.data += alpha * p.data
+        # ``r -= alpha * rho`` equals ``r += (-alpha) * rho`` bit for bit
+        # (IEEE sign symmetry of multiply; subtracting is adding the
+        # exact negation).
+        r.data -= alpha * rho.data
+
+        preconditioner.apply(r, z)
+
+        # Fused reduction pair: each r-block feeds both partials.
+        # Accumulation stays in the reference order — one BLAS
+        # ``block @ other`` partial per node block, ascending rank.
+        rz_new = 0.0
+        r_norm_sq = 0.0
+        z_blocks = z.blocks
+        for rank, r_block in enumerate(r.blocks):
+            rz_new += float(r_block @ z_blocks[rank])
+            r_norm_sq += float(r_block @ r_block)
+        cluster.charge_compute(x.partition.charge_profile(4))
+        cluster.allreduce(2 * BYTES_PER_FLOAT)
+
+        beta = rz_new / rz_old if rz_old != 0.0 else 0.0
+        cluster.charge_compute(profile2)
+        data = p.data
+        np.multiply(data, beta, out=data)
+        data += z.data
+        return rz_new, r_norm_sq, beta
+
     # ----------------------------------------------------------------- SpMV
 
     def halo_exchange(self, executor, x, channel: str) -> None:
-        cache = executor.plan.flat_cache()
         executor.cluster.exchange_compiled(executor.compiled_halo(channel))
-        if self._fills_ghosts and cache.total_ghosts:
-            executor._ghost_flat[:] = x.data[cache.ghost_gather]
 
     def spmv_local(self, executor, x, out) -> None:
-        cache = executor.plan.flat_cache()
-        executor.cluster.charge_compute(cache.local_flops)
-        # The ghost tail of the stacked input was already filled in
-        # place by the halo exchange (``_ghost_flat`` aliases it);
-        # only the owned block still needs copying.
-        buf = executor._spmv_input
-        buf[: x.data.size] = x.data
-        matrix = cache.stacked_matrix
+        executor.cluster.charge_compute(executor.plan.flat_cache().local_flops)
+        matrix = executor.matrix.global_csr
         if _csr_matvec is not None:
             # ``csr_matvec`` accumulates into its output, so the
             # preallocated target (the result vector's own flat
@@ -143,14 +169,13 @@ class VectorizedBackend(KernelBackend):
             _csr_matvec(
                 matrix.shape[0], matrix.shape[1],
                 matrix.indptr, matrix.indices, matrix.data,
-                buf, y,
+                x.data, y,
             )
         else:
-            out.data[:] = matrix @ buf
+            out.data[:] = matrix @ x.data
 
     def aspmv(self, executor, x, iteration, queue, out) -> None:
         cluster = executor.cluster
-        plan_cache = executor.plan.flat_cache()
         cache = executor.redundancy.flat_cache()
 
         # A rollback may re-execute a storage iteration: clear any stale
@@ -172,8 +197,6 @@ class VectorizedBackend(KernelBackend):
             compiled = cluster.compile_exchange(cache.messages, cache.merged)
             cache.compiled = compiled
         cluster.exchange_compiled(compiled)
-        if self._fills_ghosts and plan_cache.total_ghosts:
-            executor._ghost_flat[:] = x.data[plan_cache.ghost_gather]
 
         evicted = queue.push(iteration)
         if evicted is not None:

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.cluster import CostModel, VirtualCluster
+from repro.core.redundancy import RedundancyQueue
 from repro.distribution import (
+    ASpMVExecutor,
     BlockRowPartition,
     DistributedMatrix,
     DistributedVector,
@@ -59,6 +61,21 @@ class TestCorrectness:
         bad = DistributedVector(cluster, other)
         with pytest.raises(ConfigurationError):
             SpMVExecutor(dmatrix).multiply(bad)
+
+    @pytest.mark.parametrize("backend", ["looped", "vectorized"])
+    def test_output_sharing_the_input_rejected(self, small_spd, backend):
+        # The product writes ``out`` while it still reads ``x``.
+        cluster, partition, dmatrix = make_distributed(small_spd, 4)
+        cluster.kernels = backend
+        x = DistributedVector.from_global(cluster, partition, np.ones(40))
+        with pytest.raises(ConfigurationError, match="shares storage"):
+            SpMVExecutor(dmatrix).multiply(x, out=x)
+        with pytest.raises(ConfigurationError, match="shares storage"):
+            ASpMVExecutor(dmatrix, phi=1).multiply_augmented(
+                x, iteration=1, queue=RedundancyQueue(capacity=2), out=x
+            )
+        np.testing.assert_array_equal(x.to_global(), np.ones(40))
+        assert cluster.stats.total_messages("spmv_halo") == 0
 
 
 class TestAccounting:

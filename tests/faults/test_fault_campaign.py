@@ -59,14 +59,14 @@ class TestByteIdenticalResults:
 
 
 class TestBackendInvariance:
-    def test_vectorized_and_compiled_agree(self):
+    def test_looped_and_vectorized_agree(self):
         spec = small_faults_spec(
             strategies=tuple(
                 s
                 for s in faults_spec(n_nodes=4).strategies
                 if s.name in ("pv", "lossy_imcr")
             ),
-            backends=("vectorized", "compiled"),
+            backends=("looped", "vectorized"),
         )
         result = execute_campaign(spec, workers=0)
         by_key = {}
@@ -82,8 +82,8 @@ class TestBackendInvariance:
             by_key.setdefault(key, {})[rec.backend] = rec
         assert by_key
         for key, sides in by_key.items():
-            assert set(sides) == {"vectorized", "compiled"}, key
-            a, b = sides["vectorized"], sides["compiled"]
+            assert set(sides) == {"looped", "vectorized"}, key
+            a, b = sides["looped"], sides["vectorized"]
             for field in (
                 "converged",
                 "iterations",

@@ -111,15 +111,15 @@ class TestDeterminism:
     def test_corruption_is_backend_invariant(self, problem):
         matrix, b, _ = problem
         results = {}
-        for backend in ("vectorized", "compiled"):
+        for backend in ("looped", "vectorized"):
             results[backend] = repro.solve(
                 matrix, b, n_nodes=N_NODES, strategy="pv", T=10, phi=1,
                 failures=corruption(12), backend=backend, seed=5,
             )
         np.testing.assert_array_equal(
-            results["vectorized"].x, results["compiled"].x
+            results["looped"].x, results["vectorized"].x
         )
-        assert results["vectorized"].stats == results["compiled"].stats
+        assert results["looped"].stats == results["vectorized"].stats
 
 
 class TestNodeFailureFallback:

@@ -2,10 +2,10 @@
 
 The backend contract (see :mod:`repro.kernels.base`) demands
 bit-identical numerics *and* identical accounting — clocks, per-channel
-statistics, cost-noise RNG consumption — across ``looped``,
-``vectorized`` and ``compiled``.  These tests check each kernel in
-isolation against the ``looped`` reference; the end-to-end enforcement
-lives in ``tests/properties/test_backend_equivalence.py``.
+statistics, cost-noise RNG consumption — between ``looped`` and
+``vectorized``.  These tests check each kernel in isolation against the
+``looped`` reference; the end-to-end enforcement lives in
+``tests/properties/test_backend_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import repro
 from repro.api.registry import KERNELS
@@ -29,7 +30,6 @@ from repro.distribution import (
 )
 from repro.kernels import (
     DEFAULT_BACKEND,
-    CompiledBackend,
     KernelBackend,
     LoopedBackend,
     VectorizedBackend,
@@ -52,7 +52,6 @@ NOISY = CostModel(alpha=1e-6, beta=1e-9, gamma=1e-9, mu=1e-11, noise=0.1)
 def test_builtin_backends_registered():
     assert "looped" in available_backends()
     assert "vectorized" in available_backends()
-    assert "compiled" in available_backends()
     assert DEFAULT_BACKEND == "vectorized"
 
 
@@ -60,8 +59,6 @@ def test_resolve_backend_names_aliases_and_instances():
     assert isinstance(resolve_backend("looped"), LoopedBackend)
     assert isinstance(resolve_backend("vectorized"), VectorizedBackend)
     assert isinstance(resolve_backend("fused"), VectorizedBackend)  # alias
-    assert isinstance(resolve_backend("compiled"), CompiledBackend)
-    assert isinstance(resolve_backend("jit"), CompiledBackend)  # alias
     assert isinstance(resolve_backend(None), VectorizedBackend)  # default
     instance = LoopedBackend()
     assert resolve_backend(instance) is instance
@@ -106,8 +103,7 @@ class TestLoopedDemotion:
         assert "looped" in source
 
 
-def test_cluster_default_backend_and_switching(monkeypatch):
-    monkeypatch.delenv("REPRO_BACKEND", raising=False)
+def test_cluster_default_backend_and_switching():
     cluster = VirtualCluster(4, cost_model=zero_cost_model())
     assert cluster.kernels.name == "vectorized"
     cluster.kernels = "looped"
@@ -186,13 +182,9 @@ def test_charge_validates_liveness():
 # ---------------------------------------------------------------------------
 
 
-#: Fused backends pinned kernel-by-kernel against the looped reference.
-FUSED_BACKENDS = ("vectorized", "compiled")
-
-
-def _pair(n_nodes=4, n=64, cost_model=None, seed=9, backend="vectorized"):
+def _pair(n_nodes=4, n=64, cost_model=None, seed=9, backend="vectorized", matrix=None):
     """Two identical (cluster, partition, matrix) stacks: looped + ``backend``."""
-    matrix = poisson_2d(8)
+    matrix = poisson_2d(8) if matrix is None else matrix
     stacks = []
     for kernels in ("looped", backend):
         cluster = VirtualCluster(
@@ -209,7 +201,7 @@ def _assert_cluster_equal(a: VirtualCluster, b: VirtualCluster):
     assert a.stats.summary() == b.stats.summary()
 
 
-@pytest.mark.parametrize("backend", FUSED_BACKENDS)
+@pytest.mark.parametrize("backend", ["vectorized"])
 @pytest.mark.parametrize(
     "op",
     ["axpy", "aypx", "scale", "subtract", "assign", "dot_many", "fill"],
@@ -260,7 +252,7 @@ def test_vector_blocks_are_views_of_flat_data():
     assert all(float(block.sum()) == 0.0 for block in vec.blocks)
 
 
-@pytest.mark.parametrize("backend", FUSED_BACKENDS)
+@pytest.mark.parametrize("backend", ["vectorized"])
 def test_spmv_bit_identical_and_same_accounting(backend):
     (cl_l, part_l, m_l), (cl_v, part_v, m_v) = _pair(backend=backend)
     x = random_vector(part_l.n, seed=11)
@@ -286,7 +278,7 @@ def test_spmv_matches_direct_product():
     np.testing.assert_allclose(out.to_global(), matrix @ x, rtol=1e-13)
 
 
-@pytest.mark.parametrize("backend", FUSED_BACKENDS)
+@pytest.mark.parametrize("backend", ["vectorized"])
 def test_aspmv_bit_identical_including_stashes(backend):
     (cl_l, part_l, m_l), (cl_v, part_v, m_v) = _pair(backend=backend)
     x = random_vector(part_l.n, seed=21)
@@ -312,7 +304,7 @@ def test_aspmv_bit_identical_including_stashes(backend):
                 np.testing.assert_array_equal(per_l[owner][1], per_v[owner][1])
 
 
-@pytest.mark.parametrize("backend", FUSED_BACKENDS)
+@pytest.mark.parametrize("backend", ["vectorized"])
 @pytest.mark.parametrize(
     "name",
     ["identity", "jacobi", "block_jacobi", "block_ssor", "block_ichol"],
@@ -361,38 +353,93 @@ def test_triangular_preconditioners_have_no_flat_path():
         assert precond.flat_apply(np.zeros(partition.n)) is None
 
 
-def test_stacked_spmv_cache_shape_and_reuse():
+def test_vectorized_spmv_multiplies_global_csr():
+    """The fused product reads ``DistributedMatrix.global_csr`` itself:
+    the plan cache holds billing constants only, no nnz-sized operator."""
     matrix = poisson_2d(8)
-    _, partition, dmatrix = make_distributed(matrix, n_nodes=4)
+    cluster, partition, dmatrix = make_distributed(matrix, n_nodes=4)
+    assert cluster.kernels.name == "vectorized"
     cache = dmatrix.plan.flat_cache()
-    assert cache.stacked_matrix.shape == (partition.n, partition.n + cache.total_ghosts)
-    assert cache.stacked_matrix.nnz == matrix.nnz
     assert dmatrix.plan.flat_cache() is cache  # built once
+    assert not any(
+        isinstance(value, np.ndarray) or sp.issparse(value)
+        for value in vars(cache).values()
+    )
+    assert cache.total_ghosts == dmatrix.plan.total_halo_entries()
     template = dmatrix.plan.message_template("spmv_halo")
     assert dmatrix.plan.message_template("spmv_halo") is template
     assert all(entry[3] == "spmv_halo" for entry in template)
 
+    # Swap the master copy and the product follows it.
+    dmatrix.global_csr = sp.csr_matrix(2.0 * matrix)
+    x = random_vector(partition.n, seed=23)
+    out = SpMVExecutor(dmatrix).multiply(
+        DistributedVector.from_global(cluster, partition, x)
+    )
+    np.testing.assert_array_equal(out.to_global(), dmatrix.global_csr @ x)
 
-def test_fused_spmv_cache_shape_and_reuse():
-    matrix = poisson_2d(8)
-    _, partition, dmatrix = make_distributed(matrix, n_nodes=4)
-    cache = dmatrix.plan.flat_cache()
-    fused = cache.fused_matrix()
-    assert fused.shape == (partition.n, partition.n)
-    assert fused.nnz == cache.stacked_matrix.nnz
-    assert cache.fused_matrix() is fused  # built once
 
-    # The remap is exact: applying the fused matrix to the flat vector
-    # equals applying the stacked matrix to [flat, gathered ghosts] —
-    # bit for bit, because the per-row data order is untouched.
-    values = random_vector(partition.n, seed=23)
-    stacked_in = np.concatenate([values, values[cache.ghost_gather]])
-    np.testing.assert_array_equal(
-        fused @ values, cache.stacked_matrix @ stacked_in
+def _scrambled_poisson(k: int = 8) -> sp.csr_matrix:
+    """``poisson_2d(k)`` stored the awkward way.
+
+    Every row holds an explicit zero coupling to a column half the
+    matrix away (an off-node ghost), then its entries in descending
+    column order, with the diagonal split into two duplicate entries.
+    """
+    base = poisson_2d(k).tocsr()
+    n = base.shape[0]
+    indptr, indices, data = [0], [], []
+    for row in range(n):
+        lo, hi = base.indptr[row], base.indptr[row + 1]
+        indices.append((row + n // 2) % n)
+        data.append(0.0)
+        for col, value in zip(base.indices[lo:hi][::-1], base.data[lo:hi][::-1]):
+            if col == row:
+                indices += [col, col]
+                data += [0.7 * value, 0.3 * value]
+            else:
+                indices.append(col)
+                data.append(value)
+        indptr.append(len(indices))
+    return sp.csr_matrix(
+        (np.array(data), np.array(indices, dtype=np.int32), np.array(indptr)),
+        shape=(n, n),
     )
 
 
-@pytest.mark.parametrize("backend", FUSED_BACKENDS)
+def test_spmv_bit_identical_on_unsorted_duplicate_and_zero_entries():
+    """The global row order *is* the local blocks' order, entry for entry."""
+    matrix = _scrambled_poisson()
+    assert not matrix.has_sorted_indices
+    x = random_vector(matrix.shape[0], seed=41)
+    (cl_l, part_l, m_l), (cl_v, part_v, m_v) = _pair(matrix=matrix)
+    outs = [
+        SpMVExecutor(dmatrix).multiply(
+            DistributedVector.from_global(cluster, partition, x)
+        ).to_global().tobytes()
+        for cluster, partition, dmatrix in ((cl_l, part_l, m_l), (cl_v, part_v, m_v))
+    ]
+    assert outs[0] == outs[1]
+    _assert_cluster_equal(cl_l, cl_v)
+
+    # A recovering solve: Alg. 2 slices the same global matrix mid-run.
+    request = repro.SolveRequest(
+        strategy="esr", T=5, phi=1, failures=[repro.FailureEvent(9, (2,))]
+    )
+    looped, vectorized = (
+        repro.SolverSession(
+            matrix, matrix @ x, n_nodes=4, seed=3, backend=backend
+        ).solve(request)
+        for backend in ("looped", "vectorized")
+    )
+    assert looped.converged
+    assert looped.x.tobytes() == vectorized.x.tobytes()
+    assert looped.result.residual_history == vectorized.result.residual_history
+    assert looped.stats == vectorized.stats
+    assert looped.modeled_time == vectorized.modeled_time
+
+
+@pytest.mark.parametrize("backend", ["vectorized"])
 def test_cg_update_bit_identical_and_same_accounting(backend):
     """The fused CG tail matches the looped composition, charges included."""
     (cl_l, part_l, m_l), (cl_v, part_v, m_v) = _pair(backend=backend)

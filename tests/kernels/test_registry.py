@@ -1,29 +1,18 @@
 """Registry-level behaviour of the kernel-backend layer.
 
 Selection ergonomics live here: the error message for an unknown
-backend, alphabetical stability of :func:`available_backends`, the
-``REPRO_BACKEND`` environment override, and the exactly-once
-degradation warning when the ``compiled`` backend runs without numba.
-Bit-identity of the backends themselves is covered by
-``test_backends.py`` and the equivalence property suite.
+backend, alphabetical stability of :func:`available_backends`, and the
+names of the removed ``compiled`` backend failing loudly.  Bit-identity
+of the backends themselves is covered by ``test_backends.py`` and the
+equivalence property suite.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.kernels import (
-    BACKEND_ENV,
-    DEFAULT_BACKEND,
-    CompiledBackend,
-    available_backends,
-    default_backend,
-    resolve_backend,
-)
-from repro.kernels import compiled as compiled_mod
+from repro.kernels import available_backends, resolve_backend
 
 
 # ---------------------------------------------------------------------------
@@ -40,9 +29,8 @@ def test_unknown_backend_error_lists_available_names():
         assert name in message
 
 
-def test_available_backends_includes_compiled_and_is_sorted():
+def test_available_backends_is_sorted():
     names = available_backends()
-    assert "compiled" in names
     assert "looped" in names
     assert "vectorized" in names
     # Alphabetical, so docs / error messages / CLI help stay stable as
@@ -50,50 +38,10 @@ def test_available_backends_includes_compiled_and_is_sorted():
     assert list(names) == sorted(names)
 
 
-# ---------------------------------------------------------------------------
-# environment-variable default
-# ---------------------------------------------------------------------------
-
-
-def test_env_override_selects_backend(monkeypatch):
-    monkeypatch.setenv(BACKEND_ENV, "compiled")
-    assert default_backend() == "compiled"
-    assert resolve_backend(None).name == "compiled"
-
-
-def test_env_override_blank_falls_back_to_default(monkeypatch):
-    monkeypatch.setenv(BACKEND_ENV, "   ")
-    assert default_backend() == DEFAULT_BACKEND
-    monkeypatch.delenv(BACKEND_ENV)
-    assert default_backend() == DEFAULT_BACKEND
-
-
-def test_env_override_bad_name_raises_with_listing(monkeypatch):
-    monkeypatch.setenv(BACKEND_ENV, "bogus")
-    with pytest.raises(ConfigurationError, match="bogus"):
-        resolve_backend(None)
-
-
-# ---------------------------------------------------------------------------
-# graceful degradation without numba
-# ---------------------------------------------------------------------------
-
-
-def test_degradation_warns_exactly_once_without_numba(monkeypatch):
-    monkeypatch.setattr(compiled_mod, "HAVE_NUMBA", False)
-    monkeypatch.setattr(compiled_mod, "_WARNED_NO_NUMBA", False)
-    with pytest.warns(RuntimeWarning, match="numba") as record:
-        CompiledBackend()
-    assert len(record) == 1
-    # Subsequent constructions stay silent — one process, one warning.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        CompiledBackend()
-        resolve_backend("compiled")
-
-
-@pytest.mark.skipif(compiled_mod.HAVE_NUMBA, reason="numba installed")
-def test_degraded_backend_still_resolves_and_names_itself():
-    backend = resolve_backend("compiled")
-    assert isinstance(backend, CompiledBackend)
-    assert backend.name == "compiled"
+@pytest.mark.parametrize("name", ["compiled", "jit", "numba"])
+def test_removed_backend_names_raise_listing_builtins(name):
+    with pytest.raises(ConfigurationError) as excinfo:
+        resolve_backend(name)
+    message = str(excinfo.value)
+    assert repr(name) in message
+    assert "looped, vectorized" in message
