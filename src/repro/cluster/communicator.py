@@ -70,9 +70,11 @@ class VirtualCluster:
         self._registered_vectors: list[weakref.ReferenceType] = []
         #: Number of currently failed nodes (fast-path guard).
         self._dead_count = 0
-        #: Compiled (ranks, amounts, seconds) per charge profile.
+        #: Compiled full-length (seconds, amounts) vectors per charge profile.
         self._compiled_charges: dict[tuple, tuple] = {}
         self._compiled_memcpys: dict[tuple, tuple] = {}
+        #: Model cost of a whole-cluster allreduce, per payload size.
+        self._allreduce_costs: dict[int, float] = {}
         #: Compute-kernel backend spec; resolved lazily on first access
         #: (``None`` means the library default, currently "vectorized").
         self._kernels_spec: "str | KernelBackend | None" = kernels
@@ -296,52 +298,77 @@ class VirtualCluster:
             self.clocks[dst] = max(self.clocks[dst], latest)
 
     def charge_compute(self, profile: tuple[tuple[int, float], ...]) -> None:
-        """Apply a fixed compute bill (``(rank, flops)`` pairs, e.g. a
+        """Apply a fixed compute bill: ``(rank, flops)`` for every rank,
+        ascending (e.g. a
         :meth:`~repro.distribution.partition.BlockRowPartition.charge_profile`).
 
-        Equivalent to ``charge(compute=profile)``; repeated bills are
-        compiled once per (profile, cost model) into fused numpy
-        updates.  Falls back to the per-item loop under cost noise (RNG
-        draw order) or with failed nodes present (liveness errors).
+        Equivalent to ``charge(compute=profile)``.  A profile is compiled
+        once per cluster into full-length ``seconds`` / ``flops``
+        vectors, so a bill is two whole-vector adds.  Falls back to the
+        per-item loop under cost noise (RNG draw order) or with failed
+        nodes present (liveness errors).
+
+        Raises
+        ------
+        ConfigurationError
+            If the profile does not list every rank once in ascending
+            order, or bills a negative amount — on either path.
         """
+        entry = self._compiled_charges.get(profile)
+        if entry is None:
+            entry = self._compile_profile(
+                self._compiled_charges, profile, self.cost_model.gamma, np.float64
+            )
         if self.cost_model.noise != 0.0 or self._dead_count:
             self.charge(compute=profile)
             return
-        entry = self._compiled_charges.get(profile)
-        if entry is None:
-            ranks = np.array([rank for rank, _ in profile], dtype=np.intp)
-            amounts = np.array([amount for _, amount in profile], dtype=np.float64)
-            seconds = np.array(
-                [amount * self.cost_model.gamma for _, amount in profile],
-                dtype=np.float64,
-            )
-            entry = (ranks, amounts, seconds)
-            self._compiled_charges[profile] = entry
-        ranks, amounts, seconds = entry
-        self.clocks[ranks] += seconds
-        self.stats.flops[ranks] += amounts
+        seconds, amounts = entry
+        self.clocks += seconds
+        self.stats.flops += amounts
 
     def charge_memcpy(self, profile: tuple[tuple[int, float], ...]) -> None:
-        """Apply a fixed memcpy bill (``(rank, nbytes)`` pairs).
+        """Apply a fixed memcpy bill: ``(rank, nbytes)`` for every rank, ascending.
 
         The memcpy analogue of :meth:`charge_compute`.
         """
+        entry = self._compiled_memcpys.get(profile)
+        if entry is None:
+            entry = self._compile_profile(
+                self._compiled_memcpys, profile, self.cost_model.mu, np.int64
+            )
         if self.cost_model.noise != 0.0 or self._dead_count:
             self.charge(memcpy=profile)
             return
-        entry = self._compiled_memcpys.get(profile)
-        if entry is None:
-            ranks = np.array([rank for rank, _ in profile], dtype=np.intp)
-            amounts = np.array([int(amount) for _, amount in profile], dtype=np.int64)
-            seconds = np.array(
-                [amount * self.cost_model.mu for _, amount in profile],
-                dtype=np.float64,
+        seconds, amounts = entry
+        self.clocks += seconds
+        self.stats.local_copy_bytes += amounts
+
+    def _compile_profile(
+        self,
+        cache: dict[tuple, tuple],
+        profile: tuple[tuple[int, float], ...],
+        rate: float,
+        dtype: type,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Full-length ``(seconds, amounts)`` vectors of one bill, cached.
+
+        ``seconds[rank] = amount * rate`` is the product the per-item
+        :meth:`charge` loop adds, so both paths give the same bits;
+        ``dtype`` is the statistic's (float64 flops, int64 bytes).
+        """
+        ranks = [rank for rank, _ in profile]
+        if ranks != list(range(self.n_nodes)):
+            raise ConfigurationError(
+                f"a charge profile lists ranks 0..{self.n_nodes - 1} once each, "
+                f"in ascending order; got {ranks}"
             )
-            entry = (ranks, amounts, seconds)
-            self._compiled_memcpys[profile] = entry
-        ranks, amounts, seconds = entry
-        self.clocks[ranks] += seconds
-        self.stats.local_copy_bytes[ranks] += amounts
+        amounts = [amount for _, amount in profile]
+        if min(amounts) < 0:
+            raise ConfigurationError(f"charge amounts must be >= 0, got {min(amounts)}")
+        seconds = np.array([amount * rate for amount in amounts], dtype=np.float64)
+        entry = (seconds, np.array(amounts, dtype=dtype))
+        cache[profile] = entry
+        return entry
 
     def compile_exchange(
         self,
@@ -407,12 +434,19 @@ class VirtualCluster:
     def allreduce(self, nbytes: int, ranks: Iterable[int] | None = None) -> None:
         """Charge an allreduce across ``ranks`` (default: all alive nodes)."""
         if ranks is None and not self._dead_count:
-            # Fast path: every node participates and none can raise.
+            # Fast path: every node participates and none can raise, so
+            # the model cost depends on ``nbytes`` alone; only a noisy
+            # model perturbs it (one draw per call, as on the slow path).
             if self.n_nodes <= 1:
                 return
-            cost = self._charge(self.cost_model.allreduce_time(nbytes, self.n_nodes))
+            cost = self._allreduce_costs.get(nbytes)
+            if cost is None:
+                cost = self.cost_model.allreduce_time(nbytes, self.n_nodes)
+                self._allreduce_costs[nbytes] = cost
+            if self.cost_model.noise != 0.0:
+                cost = self._charge(cost)
             clocks = self.clocks
-            clocks[:] = clocks.max() + cost
+            clocks.fill(clocks.max() + cost)
             self.stats.record_collective(nbytes)
             return
         group = tuple(ranks) if ranks is not None else self.alive_ranks()

@@ -278,69 +278,82 @@ class RedundancyPlan:
 class FlatRedundancyCache:
     """Index and message caches for the fused augmented product.
 
-    Mirrors the traversal order of the per-rank reference loop exactly
-    — for each source rank in ascending order: the non-empty natural
-    send descriptors, then the extra redundancy transfers — so that the
-    fused execution stashes the same pieces and charges the same
-    message phase, bit for bit.
+    The per-rank reference loop stashes piece by piece: for each source
+    rank in ascending order, its non-empty natural send descriptors,
+    then its extra redundancy transfers, each appended to the
+    recipient's ``(iteration, owner)`` entry.  A recipient therefore
+    ends up holding, per owner, the natural halo piece followed by the
+    extra piece.  This cache lays those runs out per recipient, so the
+    fused execution writes each recipient's whole entry at once:
 
     * ``stash_gather`` — global indices whose single fused gather
-      ``packed = x_flat[stash_gather]`` yields every communicated piece
-      back to back;
-    * ``pieces`` — ``(dst, src, start, stop, global_indices)`` views
-      into ``packed``, one per stash the reference loop performs;
+      ``packed = x_flat[stash_gather]`` yields every recipient's stash
+      back to back (recipients ascending, owners ascending within one,
+      natural piece before extra piece within one owner);
+    * ``stashes`` — ``(dst, ((owner, global_indices, start, stop), ...))``
+      per recipient: ``packed[start:stop]`` are the values the reference
+      loop stores for ``owner`` on ``dst``, ``global_indices`` (the two
+      pieces' indices, concatenated once here) their indices;
     * ``messages`` / ``merged`` — the exchange's message and piggyback
-      payload lists (natural halo entries on the halo channel, extras
-      on the redundancy channel).
+      payload lists in the reference loop's order (natural halo entries
+      on the halo channel, extras on the redundancy channel), so the
+      compiled exchange charges the same phase, bit for bit.
     """
 
     def __init__(self, redundancy: "RedundancyPlan"):
         plan = redundancy.plan
-        gather_parts: list[np.ndarray] = []
-        pieces: list[tuple[int, int, int, int, np.ndarray]] = []
+        # pieces[dst][owner]: the index arrays the reference loop
+        # stashes on dst for owner, in its stash order.
+        pieces: dict[int, dict[int, list[np.ndarray]]] = {}
         messages: list[tuple[int, int, int, str, bool]] = []
         merged: list[tuple[int, int, int, str]] = []
-        offset = 0
         for src in range(plan.n_nodes):
             for descriptor in plan.sends[src]:
                 if descriptor.count == 0:
                     continue
                 nbytes = descriptor.count * 8
                 messages.append((src, descriptor.dst, nbytes, HALO_CHANNEL, False))
-                gather_parts.append(descriptor.global_indices)
-                pieces.append(
-                    (
-                        descriptor.dst,
-                        src,
-                        offset,
-                        offset + descriptor.count,
-                        descriptor.global_indices,
-                    )
+                pieces.setdefault(descriptor.dst, {}).setdefault(src, []).append(
+                    descriptor.global_indices
                 )
-                offset += descriptor.count
             for transfer in redundancy.extras[src]:
                 nbytes = transfer.count * 8
                 if transfer.piggyback:
                     merged.append((src, transfer.dst, nbytes, EXTRA_CHANNEL))
                 else:
                     messages.append((src, transfer.dst, nbytes, EXTRA_CHANNEL, False))
-                gather_parts.append(transfer.global_indices)
-                pieces.append(
-                    (
-                        transfer.dst,
-                        src,
-                        offset,
-                        offset + transfer.count,
-                        transfer.global_indices,
-                    )
+                pieces.setdefault(transfer.dst, {}).setdefault(src, []).append(
+                    transfer.global_indices
                 )
-                offset += transfer.count
+        gather_parts: list[np.ndarray] = []
+        layout = []
+        offset = 0
+        for dst in sorted(pieces):
+            group = []
+            for owner in sorted(pieces[dst]):
+                parts = pieces[dst][owner]
+                size = sum(part.size for part in parts)
+                gather_parts.extend(parts)
+                group.append((owner, offset, offset + size))
+                offset += size
+            layout.append((dst, group))
         self.stash_gather = (
-            np.concatenate(gather_parts).astype(np.int64)
+            np.concatenate(gather_parts).astype(np.int64, copy=False)
             if gather_parts
             else np.empty(0, dtype=np.int64)
         )
-        self.pieces = tuple(pieces)
+        # A stash's indices are its own run of the gather (a view, so
+        # the plan holds the indices once).
+        self.stashes = tuple(
+            (
+                dst,
+                tuple(
+                    (owner, self.stash_gather[start:stop], start, stop)
+                    for owner, start, stop in group
+                ),
+            )
+            for dst, group in layout
+        )
         self.messages = tuple(messages)
         self.merged = tuple(merged)
         #: CompiledExchange for (messages, merged); built lazily by the
@@ -351,8 +364,9 @@ class FlatRedundancyCache:
 class ASpMVExecutor(SpMVExecutor):
     """SpMV that additionally materialises a redundant copy of ``p``.
 
-    ``multiply_augmented(x, iteration, queue)`` performs the plain
-    product *and*:
+    ``multiply_augmented(x, iteration, queue)`` charges the message
+    phase first (a dead rank raises before any store or the queue is
+    touched), then performs the plain product *and*:
 
     * stashes every naturally communicated piece of ``x`` in the
       recipient's redundancy store under key ``iteration`` (these

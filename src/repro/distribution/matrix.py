@@ -21,6 +21,29 @@ from ..exceptions import ConfigurationError
 from .comm_plan import SpMVPlan
 from .partition import BlockRowPartition
 
+try:  # pragma: no cover - exercised on any scipy we support
+    # The kernel scipy's ``csr_matrix @ vector`` itself runs: it
+    # accumulates ``y += A @ x`` into a caller-owned output.
+    from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
+except ImportError:  # pragma: no cover - ancient/exotic scipy builds
+    _csr_matvec = None
+
+
+def csr_matvec(matrix: sp.csr_matrix, x: np.ndarray, out: np.ndarray) -> None:
+    """``out[:] = matrix @ x``, written into ``out``.
+
+    Zero-fills ``out`` and runs the kernel ``matrix @ x`` runs on the
+    zeroed result it allocates, so the values are bit-identical (same
+    kernel, same per-row accumulation order) without a fresh array and a
+    copy per call.  ``out`` must not share memory with ``x``.
+    """
+    if _csr_matvec is None:
+        out[:] = matrix @ x
+        return
+    out.fill(0.0)
+    n_rows, n_cols = matrix.shape
+    _csr_matvec(n_rows, n_cols, matrix.indptr, matrix.indices, matrix.data, x, out)
+
 
 class DistributedMatrix:
     """A square sparse matrix distributed by block rows."""

@@ -21,9 +21,12 @@ backend        semantics / fusion level              when to pick it
                elementwise ops, the halo exchange    default) — pure
                billed without a ghost copy, one      numpy/scipy, uniformly
                in-place CSR matvec of the global     faster than ``looped``.
-               matrix, the PCG tail as one hook,
-               billing declared analytically per
-               operation.
+               matrix, ASpMV stashes written as
+               one dict per recipient, ``ddot``
+               partials per block, preconditioners
+               applied in place, the PCG tail as
+               one hook, billing declared
+               analytically as whole-vector adds.
 =============  ====================================  ==========================
 
 All backends are **bit-identical** and **accounting-identical** by

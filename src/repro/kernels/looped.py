@@ -143,18 +143,13 @@ class LoopedBackend(KernelBackend):
         cluster = executor.cluster
         plan = executor.plan
 
-        # A rollback may re-execute a storage iteration: clear any stale
-        # stash for this iteration so re-pushes do not accumulate.
-        for node in cluster.nodes:
-            if node.alive:
-                node.drop_redundant(iteration)
-
         # Natural halo exchange + redundancy extras: one concurrent
         # phase, with stashing at the recipients.  Extras destined to a
         # node that already receives a natural message ride along as
         # merged payload (no extra start-up latency).
         messages = []
         merged = []
+        stashes = []
         for src in range(plan.n_nodes):
             for descriptor in plan.sends[src]:
                 if descriptor.count == 0:
@@ -162,20 +157,25 @@ class LoopedBackend(KernelBackend):
                 values = x.blocks[src][descriptor.local_indices]
                 messages.append((src, descriptor.dst, values.nbytes, HALO_CHANNEL, False))
                 executor._ghost_buffers[descriptor.dst][descriptor.ghost_positions] = values
-                cluster.node(descriptor.dst).stash_redundant(
-                    iteration, src, descriptor.global_indices, values
-                )
+                stashes.append((descriptor.dst, src, descriptor.global_indices, values))
             for transfer in executor.redundancy.extras[src]:
                 values = x.blocks[src][transfer.local_indices]
                 if transfer.piggyback:
                     merged.append((src, transfer.dst, values.nbytes, EXTRA_CHANNEL))
                 else:
                     messages.append((src, transfer.dst, values.nbytes, EXTRA_CHANNEL, False))
-                cluster.node(transfer.dst).stash_redundant(
-                    iteration, src, transfer.global_indices, values
-                )
+                stashes.append((transfer.dst, src, transfer.global_indices, values))
+        # Charged before any store is touched: a dead rank raises here.
         if messages or merged:
             cluster.exchange(messages, piggyback=merged)
+
+        # A rollback may re-execute a storage iteration: clear any stale
+        # stash for this iteration so re-pushes do not accumulate.
+        for node in cluster.nodes:
+            if node.alive:
+                node.drop_redundant(iteration)
+        for dst, src, global_indices, values in stashes:
+            cluster.node(dst).stash_redundant(iteration, src, global_indices, values)
 
         evicted = queue.push(iteration)
         if evicted is not None:

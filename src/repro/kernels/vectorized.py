@@ -10,27 +10,40 @@ block views, so:
   charged through one precompiled
   :meth:`~repro.cluster.communicator.VirtualCluster.exchange_compiled`
   call, but no ghost buffer is filled, because nothing here reads one;
-* the SpMV is one in-place CSR matvec of
+* the SpMV is one in-place CSR matvec
+  (:func:`~repro.distribution.matrix.csr_matvec`) of
   :attr:`~repro.distribution.matrix.DistributedMatrix.global_csr`
   against ``x_flat``.  Row slicing keeps each row's entry order, so the
   global operator's rows *are* the per-node local rows (their columns
   merely un-compressed): every row sums the same products in the same
   order as the per-rank ``local @ [own | ghosts]`` products;
+* the ASpMV gathers every communicated piece of ``x`` in one fancy
+  index and writes each recipient's redundancy entry for the iteration
+  as one dict of views into that gather
+  (:class:`~repro.distribution.aspmv.FlatRedundancyCache` groups the
+  pieces per recipient at plan time) — the same indices and values the
+  reference loop appends piece by piece;
 * dot products keep the *reference accumulation order* (one partial dot
   per contiguous block view, accumulated in ascending rank order) —
   fusing the reduction across block boundaries would change the
-  floating-point result, so only the billing is batched here;
+  floating-point result, so only the billing is batched here.  Each
+  partial is ``block.dot(other)``: for 1-D float64 operands it calls the
+  same BLAS ``ddot`` as the reference's ``block @ other``, without the
+  matmul ufunc dispatch;
+* block-diagonal preconditioners with a fused form apply in place into
+  the output vector's storage (``flat_apply(values, out)``); the others
+  (``flat_apply is None``) run the per-rank reference path;
 * the PCG tail (:meth:`VectorizedBackend.cg_update`) runs as one hook:
   both axpys, the preconditioner, one sweep over the node blocks for
   the ``r.z`` / ``r.r`` pair, then the aypx;
 * all per-rank bills are declared analytically — precomputed
-  ``(rank, amount)`` profiles handed to the batched
-  :meth:`~repro.cluster.communicator.VirtualCluster.charge` API in the
-  same order the reference loop incurs them, which keeps clocks,
-  statistics and cost-noise RNG draws identical.
+  ``(rank, amount)`` profiles handed to
+  :meth:`~repro.cluster.communicator.VirtualCluster.charge_compute` /
+  ``charge_memcpy`` in the same order the reference loop incurs them,
+  which keeps clocks, statistics and cost-noise RNG draws identical.
 
 Charges are issued *before* the fused numeric touches the data, so a
-dead rank raises before any block is updated.
+dead rank raises before any block or redundancy store is updated.
 """
 
 from __future__ import annotations
@@ -41,20 +54,9 @@ import numpy as np
 
 from ..api.registry import register_backend
 from ..cluster.cost_model import BYTES_PER_FLOAT
+from ..distribution.matrix import csr_matvec
 from .base import KernelBackend
 from .looped import LoopedBackend
-
-try:  # pragma: no cover - exercised via spmv_local on any scipy we support
-    # The in-place CSR matvec kernel scipy's ``csr_matrix @ vector``
-    # itself is built on: ``y += A @ x`` into a caller-owned output.
-    # Routing around the operator avoids allocating a fresh result
-    # array (and the follow-up copy into ``out.data``) every
-    # iteration.  Same kernel, same row-major accumulation order,
-    # bit-identical results (enforced by
-    # tests/properties/test_backend_equivalence.py).
-    from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
-except ImportError:  # pragma: no cover - ancient/exotic scipy builds
-    _csr_matvec = None
 
 #: Shared per-rank fallback (identical code path to the looped backend;
 #: internal construction — the deprecation covers *selecting* looped).
@@ -95,22 +97,21 @@ class VectorizedBackend(KernelBackend):
     def dot_many(self, x, others: Sequence) -> list[float]:
         cluster = x.cluster
         x_blocks = x.blocks
-        # Reference accumulation order: per block view, rank ascending,
-        # using the same ``block @ block`` inner product as the looped
-        # backend.  (A whole-array dot would change the partial-sum
-        # structure and with it the low-order bits — see the contract.)
+        # Reference accumulation order: per block view, rank ascending.
+        # (A whole-array dot would change the partial-sum structure and
+        # with it the low-order bits — see the contract.)
         if len(others) == 1:
             o_blocks = others[0].blocks
             total = 0.0
             for block, other in zip(x_blocks, o_blocks):
-                total += float(block @ other)
+                total += float(block.dot(other))
             partials = [total]
         else:
             partials = [0.0] * len(others)
             blocks_per_k = [other.blocks for other in others]
             for rank, block in enumerate(x_blocks):
                 for k, o_blocks in enumerate(blocks_per_k):
-                    partials[k] += float(block @ o_blocks[rank])
+                    partials[k] += float(block.dot(o_blocks[rank]))
         cluster.charge_compute(x.partition.charge_profile(2 * len(others)))
         cluster.allreduce(len(others) * BYTES_PER_FLOAT)
         return partials
@@ -133,15 +134,14 @@ class VectorizedBackend(KernelBackend):
 
         preconditioner.apply(r, z)
 
-        # Fused reduction pair: each r-block feeds both partials.
-        # Accumulation stays in the reference order — one BLAS
-        # ``block @ other`` partial per node block, ascending rank.
+        # Fused reduction pair: each r-block feeds both partials, in the
+        # reference order — one ``ddot`` per node block, ascending rank.
         rz_new = 0.0
         r_norm_sq = 0.0
         z_blocks = z.blocks
         for rank, r_block in enumerate(r.blocks):
-            rz_new += float(r_block @ z_blocks[rank])
-            r_norm_sq += float(r_block @ r_block)
+            rz_new += float(r_block.dot(z_blocks[rank]))
+            r_norm_sq += float(r_block.dot(r_block))
         cluster.charge_compute(x.partition.charge_profile(4))
         cluster.allreduce(2 * BYTES_PER_FLOAT)
 
@@ -159,48 +159,36 @@ class VectorizedBackend(KernelBackend):
 
     def spmv_local(self, executor, x, out) -> None:
         executor.cluster.charge_compute(executor.plan.flat_cache().local_flops)
-        matrix = executor.matrix.global_csr
-        if _csr_matvec is not None:
-            # ``csr_matvec`` accumulates into its output, so the
-            # preallocated target (the result vector's own flat
-            # storage) is zeroed rather than reallocated per call.
-            y = out.data
-            y[:] = 0.0
-            _csr_matvec(
-                matrix.shape[0], matrix.shape[1],
-                matrix.indptr, matrix.indices, matrix.data,
-                x.data, y,
-            )
-        else:
-            out.data[:] = matrix @ x.data
+        csr_matvec(executor.matrix.global_csr, x.data, out.data)
 
     def aspmv(self, executor, x, iteration, queue, out) -> None:
         cluster = executor.cluster
         cache = executor.redundancy.flat_cache()
-
-        # A rollback may re-execute a storage iteration: clear any stale
-        # stash for this iteration so re-pushes do not accumulate.
-        for node in cluster.nodes:
-            if node.alive:
-                node.drop_redundant(iteration)
-
-        # One fused gather materialises every communicated piece; the
-        # stashes are views into it (the reference loop stashes exactly
-        # these values, piece by piece, in the same order).
-        packed = x.data[cache.stash_gather]
-        for dst, src, start, stop, global_indices in cache.pieces:
-            cluster.node(dst).stash_redundant(
-                iteration, src, global_indices, packed[start:stop]
-            )
         compiled = cache.compiled
         if compiled is None:
             compiled = cluster.compile_exchange(cache.messages, cache.merged)
             cache.compiled = compiled
         cluster.exchange_compiled(compiled)
 
+        # A rollback may re-execute a storage iteration: drop any stale
+        # stash for it first (a pop, not an overwrite, so each store
+        # keeps the reference's iteration order).  Dead nodes need no
+        # liveness check: a wipe emptied their stores, and the exchange
+        # above raised if any stash would reach one.
+        iteration = int(iteration)
+        nodes = cluster.nodes
+        for node in nodes:
+            node.redundancy.pop(iteration, None)
+        packed = x.data[cache.stash_gather]
+        for dst, group in cache.stashes:
+            nodes[dst].redundancy[iteration] = {
+                owner: (indices, packed[start:stop])
+                for owner, indices, start, stop in group
+            }
+
         evicted = queue.push(iteration)
         if evicted is not None:
-            for node in cluster.nodes:
+            for node in nodes:
                 if node.alive:
                     node.drop_redundant(evicted)
 
@@ -209,11 +197,11 @@ class VectorizedBackend(KernelBackend):
     # -------------------------------------------------------- preconditioners
 
     def precond_apply(self, precond, r, out) -> None:
-        flat = precond.flat_apply(r.data)
-        if flat is None:
+        flat_apply = precond.flat_apply
+        if flat_apply is None:
             # Operators without a fused form (e.g. per-block triangular
             # solves) run the identical per-rank reference path.
             _LOOPED.precond_apply(precond, r, out)
             return
         r.cluster.charge_compute(precond.charge_profile())
-        out.data[:] = flat
+        flat_apply(r.data, out.data)

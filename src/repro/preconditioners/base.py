@@ -19,7 +19,7 @@ The paper treats the preconditioner as a linear operator ``P`` with
 from __future__ import annotations
 
 import abc
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -104,6 +104,16 @@ class BlockDiagonalPreconditioner(Preconditioner):
 
     supports_reconstruction = True
 
+    #: ``flat_apply(values, out)``: the fused in-place ``out[:] = P @ values``
+    #: on the full flat vector, or ``None`` for an action with no fused
+    #: form.  Subclasses whose action is one fused operation (a stacked
+    #: block-diagonal matvec, a diagonal scale) define it as a method; its
+    #: result must be bit-identical to concatenating the per-rank
+    #: :meth:`_apply_local` outputs, and ``out`` never shares ``values``'
+    #: storage.  ``None`` tells every backend, before it charges anything,
+    #: to use the per-rank reference path.
+    flat_apply: Callable[[np.ndarray, np.ndarray], None] | None = None
+
     @abc.abstractmethod
     def _apply_local(self, rank: int, values: np.ndarray) -> np.ndarray: ...
 
@@ -118,22 +128,11 @@ class BlockDiagonalPreconditioner(Preconditioner):
         """``out = P r``, executed by the cluster's kernel backend.
 
         The ``looped`` backend applies :meth:`_apply_local` node by
-        node; the ``vectorized`` backend uses :meth:`flat_apply` when
+        node; the ``vectorized`` backend uses :attr:`flat_apply` when
         the subclass provides one (falling back to the per-rank path
         otherwise).  Billing is identical either way.
         """
         self.matrix.cluster.kernels.precond_apply(self, r, out)
-
-    def flat_apply(self, values: np.ndarray) -> np.ndarray | None:
-        """Fused ``P @ values`` on the full flat vector, or ``None``.
-
-        Subclasses whose action is expressible as one fused operation
-        (a stacked block-diagonal matvec, a diagonal scale) override
-        this; the result must be bit-identical to concatenating the
-        per-rank :meth:`_apply_local` outputs.  Returning ``None``
-        makes every backend use the per-rank reference path.
-        """
-        return None
 
     def charge_profile(self) -> tuple[tuple[int, float], ...]:
         """Cached ``(rank, flops)`` bill of one application (rank ascending)."""

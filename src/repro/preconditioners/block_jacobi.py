@@ -36,7 +36,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from ..distribution.matrix import DistributedMatrix
+from ..distribution.matrix import DistributedMatrix, csr_matvec
 from ..exceptions import ConfigurationError
 from .base import BlockDiagonalPreconditioner
 from .blocks import block_diagonal_csr, gather_diagonal_blocks
@@ -113,11 +113,11 @@ class BlockJacobiPreconditioner(BlockDiagonalPreconditioner):
     def _apply_local(self, rank: int, values: np.ndarray) -> np.ndarray:
         return self._forward[rank] @ values
 
-    def flat_apply(self, values: np.ndarray) -> np.ndarray:
+    def flat_apply(self, values: np.ndarray, out: np.ndarray) -> None:
         # One stacked block-diagonal matvec over all nodes.  Row entries
         # stay in ascending column order, as in the per-rank operators,
         # so the row sums are bit-identical to _apply_local.
-        return self._stacked @ values
+        csr_matvec(self._stacked, values, out)
 
     def _apply_inverse_local(self, rank: int, values: np.ndarray) -> np.ndarray:
         return self._backward[rank] @ values

@@ -19,8 +19,8 @@ class IdentityPreconditioner(BlockDiagonalPreconditioner):
     def _apply_local(self, rank: int, values: np.ndarray) -> np.ndarray:
         return values
 
-    def flat_apply(self, values: np.ndarray) -> np.ndarray:
-        return values
+    def flat_apply(self, values: np.ndarray, out: np.ndarray) -> None:
+        out[:] = values
 
     def _apply_inverse_local(self, rank: int, values: np.ndarray) -> np.ndarray:
         return values

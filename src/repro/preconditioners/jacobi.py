@@ -36,8 +36,8 @@ class JacobiPreconditioner(BlockDiagonalPreconditioner):
     def _apply_local(self, rank: int, values: np.ndarray) -> np.ndarray:
         return values * self._inv_blocks[rank]
 
-    def flat_apply(self, values: np.ndarray) -> np.ndarray:
-        return values * self._inv_flat
+    def flat_apply(self, values: np.ndarray, out: np.ndarray) -> None:
+        np.multiply(values, self._inv_flat, out=out)
 
     def _apply_inverse_local(self, rank: int, values: np.ndarray) -> np.ndarray:
         return values * self._diag_blocks[rank]

@@ -93,6 +93,72 @@ class TestAccounting:
         assert cluster.elapsed() == t
 
 
+class TestAccountingFastPaths:
+    """Compiled bills and the fast allreduce equal the per-item paths."""
+
+    FLOPS = ((0, 100.0), (1, 250.0), (2, 0.0), (3, 77.0))
+    NBYTES = ((0, 4096), (1, 64), (2, 0), (3, 8))
+
+    @pytest.mark.parametrize("replaced", [False, True])
+    def test_compiled_bills_equal_the_per_item_loop(self, replaced):
+        compiled, per_item = costed_cluster(), costed_cluster()
+        for cluster in (compiled, per_item):
+            cluster.compute(2, 1e6)
+            if replaced:
+                cluster.fail([1])
+                cluster.replace([1])
+        for _ in range(3):
+            compiled.charge_compute(self.FLOPS)
+            compiled.charge_memcpy(self.NBYTES)
+            per_item.charge(compute=self.FLOPS)
+            per_item.charge(memcpy=self.NBYTES)
+        assert self.FLOPS in compiled._compiled_charges  # the compiled path ran
+        assert compiled.clocks.tobytes() == per_item.clocks.tobytes()
+        assert compiled.stats.flops.tobytes() == per_item.stats.flops.tobytes()
+        assert (
+            compiled.stats.local_copy_bytes.tobytes()
+            == per_item.stats.local_copy_bytes.tobytes()
+        )
+
+    @pytest.mark.parametrize("noise", [0.0, 0.1])
+    @pytest.mark.parametrize(
+        "profile",
+        [
+            ((0, 1.0), (1, 1.0)),  # partial
+            ((1, 1.0), (0, 1.0), (2, 1.0), (3, 1.0)),  # unsorted
+            ((0, 1.0), (1, 1.0), (1, 1.0), (2, 1.0), (3, 1.0)),  # a rank twice
+        ],
+    )
+    def test_partial_or_unsorted_profile_rejected(self, profile, noise):
+        model = CostModel(alpha=1e-6, beta=1e-9, gamma=1e-9, mu=1e-11, noise=noise)
+        cluster = VirtualCluster(4, cost_model=model, seed=0)
+        with pytest.raises(ConfigurationError):
+            cluster.charge_compute(profile)
+        with pytest.raises(ConfigurationError):
+            cluster.charge_memcpy(profile)
+        assert not cluster.clocks.any()
+
+    @pytest.mark.parametrize("nbytes", [8, 16])
+    def test_fast_allreduce_advances_by_the_model_cost(self, nbytes):
+        cluster = costed_cluster(n=8)
+        cluster.compute(3, 1e6)
+        for _ in range(2):
+            expected = cluster.clocks.max() + cluster.cost_model.allreduce_time(nbytes, 8)
+            cluster.allreduce(nbytes)
+            assert np.all(cluster.clocks == expected)
+
+    def test_fast_allreduce_draws_like_the_uncached_path_under_noise(self):
+        model = CostModel(alpha=1e-6, beta=1e-9, gamma=1e-9, noise=0.1)
+        fast = VirtualCluster(4, cost_model=model, seed=5)
+        uncached = VirtualCluster(4, cost_model=model, seed=5)
+        for call in range(100):
+            nbytes = 8 * (1 + call % 2)
+            fast.allreduce(nbytes)
+            uncached.allreduce(nbytes, ranks=range(4))  # the general path
+        assert fast.clocks.tobytes() == uncached.clocks.tobytes()
+        assert fast.rng.bit_generator.state == uncached.rng.bit_generator.state
+
+
 class TestFailureSemantics:
     def test_fail_marks_dead(self):
         cluster = costed_cluster()

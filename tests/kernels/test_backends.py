@@ -278,30 +278,65 @@ def test_spmv_matches_direct_product():
     np.testing.assert_allclose(out.to_global(), matrix @ x, rtol=1e-13)
 
 
-@pytest.mark.parametrize("backend", ["vectorized"])
-def test_aspmv_bit_identical_including_stashes(backend):
-    (cl_l, part_l, m_l), (cl_v, part_v, m_v) = _pair(backend=backend)
-    x = random_vector(part_l.n, seed=21)
-    outs = []
-    for cluster, partition, dmatrix in ((cl_l, part_l, m_l), (cl_v, part_v, m_v)):
-        executor = ASpMVExecutor(dmatrix, phi=2)
-        queue = RedundancyQueue(capacity=2)
-        vec = DistributedVector.from_global(cluster, partition, x)
-        out = executor.multiply_augmented(vec, iteration=7, queue=queue)
-        outs.append(out.to_global())
-    np.testing.assert_array_equal(outs[0], outs[1])
-    _assert_cluster_equal(cl_l, cl_v)
+def _assert_stores_equal(a: VirtualCluster, b: VirtualCluster):
+    """Every node holds the same redundancy entries, in the same order."""
+    for node_a, node_b in zip(a.nodes, b.nodes):
+        assert node_a.redundancy_bytes() == node_b.redundancy_bytes()
+        assert list(node_a.redundancy) == list(node_b.redundancy)
+        for iteration, per_a in node_a.redundancy.items():
+            per_b = node_b.redundancy[iteration]
+            assert list(per_a) == list(per_b)
+            for owner, (indices_a, values_a) in per_a.items():
+                indices_b, values_b = per_b[owner]
+                assert indices_a.dtype == indices_b.dtype
+                assert values_a.dtype == values_b.dtype
+                np.testing.assert_array_equal(indices_a, indices_b)
+                np.testing.assert_array_equal(values_a, values_b)
 
-    # The redundancy stores hold the same pieces on every node.
-    for node_l, node_v in zip(cl_l.nodes, cl_v.nodes):
-        assert node_l.redundancy.keys() == node_v.redundancy.keys()
-        for iteration in node_l.redundancy:
-            per_l = node_l.redundancy[iteration]
-            per_v = node_v.redundancy[iteration]
-            assert per_l.keys() == per_v.keys()
-            for owner in per_l:
-                np.testing.assert_array_equal(per_l[owner][0], per_v[owner][0])
-                np.testing.assert_array_equal(per_l[owner][1], per_v[owner][1])
+
+@pytest.mark.parametrize("backend", ["vectorized"])
+@pytest.mark.parametrize("destinations", ["eq1", "switch_aware"])
+@pytest.mark.parametrize("rule", ["paper", "greedy"])
+@pytest.mark.parametrize("phi", [1, 2, 3])
+def test_aspmv_bit_identical_including_stashes(phi, rule, destinations, backend):
+    # 16 nodes span two leaf switches, so switch_aware differs from Eq. 1.
+    (cl_l, part_l, m_l), (cl_v, part_v, m_v) = _pair(
+        n_nodes=16, matrix=poisson_2d(12), backend=backend
+    )
+    x = random_vector(part_l.n, seed=21)
+    sides = []
+    for cluster, partition, dmatrix in ((cl_l, part_l, m_l), (cl_v, part_v, m_v)):
+        executor = ASpMVExecutor(dmatrix, phi=phi, rule=rule, destinations=destinations)
+        vec = DistributedVector.from_global(cluster, partition, x)
+        sides.append((executor, RedundancyQueue(capacity=2), vec))
+
+    # Iteration 7 again after 8 (a rollback re-execution), and four
+    # iterations in all through a capacity-2 queue (two evictions).
+    for step, iteration in enumerate((7, 8, 7, 9, 10)):
+        outs = []
+        for executor, queue, vec in sides:
+            vec.data[:] = x + step  # a fresh p each push: stale stashes show
+            outs.append(executor.multiply_augmented(vec, iteration, queue).to_global())
+        np.testing.assert_array_equal(outs[0], outs[1])
+        assert sides[0][1].items == sides[1][1].items
+        _assert_cluster_equal(cl_l, cl_v)
+        _assert_stores_equal(cl_l, cl_v)
+    assert sides[0][1].items == (9, 10)
+
+
+@pytest.mark.parametrize("backend", ["looped", "vectorized"])
+def test_aspmv_with_a_dead_rank_raises_before_stashing(backend):
+    """Charges come first: a failed call leaves no store and the queue untouched."""
+    cluster, partition, dmatrix = make_distributed(poisson_2d(8), n_nodes=4)
+    cluster.kernels = backend
+    executor = ASpMVExecutor(dmatrix, phi=2)
+    queue = RedundancyQueue(capacity=2)
+    vec = DistributedVector.from_global(cluster, partition, random_vector(partition.n))
+    cluster.fail([2])
+    with pytest.raises(repro.DeadNodeError):
+        executor.multiply_augmented(vec, 7, queue)
+    assert all(7 not in node.redundancy for node in cluster.nodes)
+    assert len(queue) == 0
 
 
 @pytest.mark.parametrize("backend", ["vectorized"])
@@ -331,8 +366,10 @@ def test_flat_apply_matches_blockwise_apply():
     for name in ("identity", "jacobi", "block_jacobi"):
         precond = make_preconditioner(name)
         precond.setup(dmatrix)
-        flat = precond.flat_apply(values)
-        assert flat is not None
+        # A stale buffer: an in-place matvec that skipped its zero-fill
+        # would add the product onto these values.
+        out = random_vector(partition.n, seed=18)
+        assert precond.flat_apply(values, out) is None
         blockwise = np.concatenate(
             [
                 precond._apply_local(
@@ -341,16 +378,17 @@ def test_flat_apply_matches_blockwise_apply():
                 for rank in range(partition.n_nodes)
             ]
         )
-        np.testing.assert_array_equal(flat, blockwise)
+        np.testing.assert_array_equal(out, blockwise)
+        np.testing.assert_array_equal(values, random_vector(partition.n, seed=17))
 
 
 def test_triangular_preconditioners_have_no_flat_path():
     matrix = poisson_2d(8)
-    _, partition, dmatrix = make_distributed(matrix, n_nodes=4)
+    _, _, dmatrix = make_distributed(matrix, n_nodes=4)
     for name in ("block_ssor", "block_ichol"):
         precond = make_preconditioner(name)
         precond.setup(dmatrix)
-        assert precond.flat_apply(np.zeros(partition.n)) is None
+        assert precond.flat_apply is None
 
 
 def test_vectorized_spmv_multiplies_global_csr():
