@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 import os
 import pathlib
 import tempfile
@@ -46,8 +47,12 @@ from ..cluster.cost_model import CostModel
 from ..distribution.matrix import DistributedMatrix
 from ..distribution.partition import BlockRowPartition
 from ..exceptions import ConfigurationError
+from ..kernels.base import REDUCTION_CHUNK, flat_dot
 from .registry import KERNELS
 from .request import SolveReport, SolveRequest
+
+#: Names the dot-product association in reference-spool fingerprints.
+REDUCTION_TAG = f"flat_dot/{REDUCTION_CHUNK}"
 
 #: Default spool directory for ``cache_dir=True`` (also the campaign
 #: CLI's ``--cache-dir`` default).
@@ -67,7 +72,7 @@ class ReferenceTrajectory:
 
     @property
     def x_norm(self) -> float:
-        return float(np.linalg.norm(self.x))
+        return math.sqrt(flat_dot(self.x, self.x))
 
 
 class SolverSession:
@@ -393,10 +398,12 @@ class SolverSession:
         Covers everything the trajectory depends on: the matrix and
         right-hand side (content, not identity), the cluster model
         (node count, cost constants, topology, noise seed) and the
-        reference request (preconditioner + params, rtol, maxiter).
-        Kernel backends are bit-identical by contract, so the backend
-        is deliberately *not* part of the key — looped and vectorized
-        workers share entries.
+        reference request (preconditioner + params, rtol, maxiter) —
+        and the reduction definition (:data:`REDUCTION_TAG`), so entries
+        spooled under another dot-product association are recomputed,
+        not mixed into new reports.  Kernel backends are bit-identical
+        by contract, so the backend is deliberately *not* part of the
+        key — looped and vectorized workers share entries.
         """
         cost_model = self._cost_model if self._cost_model is not None else CostModel()
         topology = self._topology
@@ -417,6 +424,7 @@ class SolverSession:
             request.precond_key,
             request.rtol,
             request.maxiter,
+            REDUCTION_TAG,
         )
         h.update(repr(parts).encode())
         return h.hexdigest()
@@ -557,11 +565,12 @@ class SolverSession:
             if reference.t0 > 0:
                 overhead = (result.modeled_time - reference.t0) / reference.t0
                 recovery = result.recovery_time / reference.t0
-            error = (
-                float(np.linalg.norm(result.x - reference.x)) / reference.x_norm
-                if reference.x_norm
-                else 0.0
-            )
+            x_norm = reference.x_norm
+            if x_norm:
+                diff = result.x - reference.x
+                error = math.sqrt(flat_dot(diff, diff)) / x_norm
+            else:
+                error = 0.0
         return SolveReport(
             request=request,
             strategy=result.strategy,

@@ -185,10 +185,10 @@ class DistributedVector:
         """Several dot products fused into a single allreduce.
 
         PCG needs ``r·z`` and ``‖r‖²`` in the same iteration; real codes
-        fuse them into one 16-byte allreduce, and so do we.  Partial
-        sums accumulate per node block in ascending rank order — that
-        order is part of the backend contract (every kernel backend
-        reproduces it bit for bit).
+        fuse them into one 16-byte allreduce, and so do we.  Each value
+        is :func:`~repro.kernels.base.flat_dot` of the flat arrays — the
+        canonical chunked reduction of the backend contract — so it does
+        not depend on the node count or on the BLAS thread count.
         """
         for other in others:
             self._check_compatible(other)

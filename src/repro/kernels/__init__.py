@@ -15,19 +15,25 @@ backend        semantics / fusion level              when to pick it
 ``looped``     Per-rank reference loops; charges     Verification only: it is
                incurred inside the numeric loop,     the oracle the property
                exactly like a rank-per-process       suite pins ``vectorized``
-               implementation.  No fusion.           against.  Deprecated for
-                                                     production use.
+               implementation.  No fusion; dots      against.  Deprecated for
+               are the shared ``flat_dot``.          production use.
 ``vectorized`` Fused flat-array numpy: whole-array   Everything else (the
                elementwise ops, the halo exchange    default) — pure
                billed without a ghost copy, one      numpy/scipy, uniformly
                in-place CSR matvec of the global     faster than ``looped``.
                matrix, ASpMV stashes written as
-               one dict per recipient, ``ddot``
-               partials per block, preconditioners
-               applied in place, the PCG tail as
-               one hook, billing declared
-               analytically as whole-vector adds.
+               one dict per recipient,
+               preconditioners applied in place,
+               the PCG tail as one hook, billing
+               declared analytically as
+               whole-vector adds.
 =============  ====================================  ==========================
+
+Both backends reduce with the same function,
+:func:`~repro.kernels.base.flat_dot`: BLAS ``ddot`` over consecutive
+:data:`~repro.kernels.base.REDUCTION_CHUNK`-entry slices of the flat
+vectors, summed in ascending order — one association for every node
+count and every BLAS thread count.
 
 All backends are **bit-identical** and **accounting-identical** by
 contract (full statement in :mod:`repro.kernels.base`): same

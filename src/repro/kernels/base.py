@@ -12,10 +12,12 @@ The separation contract (what every backend must honour):
   bit-identical to the ``looped`` reference backend.  In practice this
   means: elementwise vector updates may be fused freely (the rounding
   of ``y[i] += a * x[i]`` does not depend on how the loop is batched),
-  but *reductions must keep the reference accumulation order* (one
-  partial dot per node block, accumulated in ascending rank order) and
-  sparse matvecs must keep the per-row summation order of the per-node
-  local matrices.
+  *every dot product is* :func:`flat_dot` *of the flat arrays* (the one
+  canonical reduction: BLAS ``ddot`` over consecutive
+  :data:`REDUCTION_CHUNK`-entry slices, summed in ascending order — so
+  the bits depend neither on the node count nor on the BLAS thread
+  count), and sparse matvecs must keep the per-row summation order of
+  the per-node local matrices.
 * **Accounting equivalence** — every backend must issue the *same
   sequence* of cluster charges (``compute``/``memcpy``/``exchange``/
   ``allreduce``) with the same arguments as the reference backend.
@@ -44,6 +46,8 @@ from __future__ import annotations
 import abc
 from typing import TYPE_CHECKING, Sequence
 
+import numpy as np
+
 from ..api.registry import KERNELS
 from ..exceptions import ConfigurationError
 
@@ -52,6 +56,32 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from ..distribution.spmv import SpMVExecutor
     from ..distribution.vector import DistributedVector
     from ..preconditioners.base import BlockDiagonalPreconditioner
+
+
+#: Entries per ``ddot`` slice of :func:`flat_dot`.  The largest power of
+#: two below OpenBLAS's ``ddot`` threading cutoff (10 000 entries), so
+#: no slice is ever split across BLAS threads.
+REDUCTION_CHUNK = 8192
+
+
+def flat_dot(a: np.ndarray, b: np.ndarray) -> float:
+    """The canonical reduction: ``a · b`` of two flat float64 arrays.
+
+    BLAS ``ddot`` over consecutive :data:`REDUCTION_CHUNK`-entry slices,
+    ascending: the first slice's value starts the sum and each later
+    one is added to it; an empty vector gives ``0.0``.  Up to one chunk
+    this is exactly ``a @ b``.  Every dot product of the engine — both
+    backends, norms included — is this function, so its association is
+    fixed by the vector length alone.
+    """
+    n = a.shape[0]
+    if n <= REDUCTION_CHUNK:
+        return float(a.dot(b))
+    total = float(a[:REDUCTION_CHUNK].dot(b[:REDUCTION_CHUNK]))
+    for start in range(REDUCTION_CHUNK, n, REDUCTION_CHUNK):
+        stop = start + REDUCTION_CHUNK
+        total += float(a[start:stop].dot(b[start:stop]))
+    return total
 
 
 class KernelBackend(abc.ABC):
@@ -95,9 +125,8 @@ class KernelBackend(abc.ABC):
     ) -> list[float]:
         """Fused dot products ``[x·o for o in others]`` + one allreduce.
 
-        The partial sums MUST be accumulated per node block in ascending
-        rank order — that accumulation order is part of the numerical
-        contract between backends.
+        Each value MUST be :func:`flat_dot` of the flat arrays — that
+        reduction is part of the numerical contract between backends.
         """
 
     # ----------------------------------------------------------------- SpMV
@@ -176,7 +205,7 @@ class KernelBackend(abc.ABC):
         exact historical operation sequence of the solver engine.
         Backends may override it with fused single-pass kernels as long
         as both sides of the contract hold: bit-identical numerics
-        (elementwise fusion free, reductions in reference block order)
+        (elementwise fusion free, reductions by :func:`flat_dot`)
         and the identical charge sequence (axpy, axpy, preconditioner,
         dot+allreduce, aypx).
         """

@@ -3,10 +3,14 @@
 This is the original execution model of the library, kept as the
 verification baseline: every operation loops over the node blocks and
 interleaves the numeric work with the per-rank cluster charges, exactly
-as a rank-per-process implementation would behave.  The ``vectorized``
-backend is required to reproduce this backend's results and accounting
-bit for bit (see :mod:`repro.kernels.base` for the contract and
-``tests/properties/test_backend_equivalence.py`` for the enforcement).
+as a rank-per-process implementation would behave.  The one exception
+is the reduction: a dot product is :func:`~repro.kernels.base.flat_dot`
+of the flat arrays (the canonical chunked ``ddot`` of the contract),
+not a sum of per-rank partials; it is still billed rank by rank.  The
+``vectorized`` backend is required to reproduce this backend's results
+and accounting bit for bit (see :mod:`repro.kernels.base` for the
+contract and ``tests/properties/test_backend_equivalence.py`` for the
+enforcement).
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import numpy as np
 
 from ..api.registry import register_backend
 from ..cluster.cost_model import BYTES_PER_FLOAT
-from .base import KernelBackend
+from .base import KernelBackend, flat_dot
 
 #: Exporting this acknowledges the deprecation and silences the
 #: warning for deliberate production use of the reference backend.
@@ -102,15 +106,11 @@ class LoopedBackend(KernelBackend):
 
     def dot_many(self, x, others: Sequence) -> list[float]:
         cluster = x.cluster
-        partials = np.zeros(len(others), dtype=np.float64)
         for rank in range(x.partition.n_nodes):
-            flops = 0
-            for k, other in enumerate(others):
-                partials[k] += float(x.blocks[rank] @ other.blocks[rank])
-                flops += 2 * x.blocks[rank].size
-            cluster.compute(rank, flops)
+            cluster.compute(rank, 2 * len(others) * x.blocks[rank].size)
+        values = [flat_dot(x.data, other.data) for other in others]
         cluster.allreduce(len(others) * BYTES_PER_FLOAT)
-        return [float(v) for v in partials]
+        return values
 
     # ----------------------------------------------------------------- SpMV
 

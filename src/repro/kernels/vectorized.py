@@ -23,19 +23,15 @@ block views, so:
   (:class:`~repro.distribution.aspmv.FlatRedundancyCache` groups the
   pieces per recipient at plan time) — the same indices and values the
   reference loop appends piece by piece;
-* dot products keep the *reference accumulation order* (one partial dot
-  per contiguous block view, accumulated in ascending rank order) —
-  fusing the reduction across block boundaries would change the
-  floating-point result, so only the billing is batched here.  Each
-  partial is ``block.dot(other)``: for 1-D float64 operands it calls the
-  same BLAS ``ddot`` as the reference's ``block @ other``, without the
-  matmul ufunc dispatch;
+* dot products are :func:`~repro.kernels.base.flat_dot` of the flat
+  arrays — the canonical chunked ``ddot`` both backends share — while
+  the per-rank bills stay declared per node block;
 * block-diagonal preconditioners with a fused form apply in place into
   the output vector's storage (``flat_apply(values, out)``); the others
   (``flat_apply is None``) run the per-rank reference path;
 * the PCG tail (:meth:`VectorizedBackend.cg_update`) runs as one hook:
-  both axpys, the preconditioner, one sweep over the node blocks for
-  the ``r.z`` / ``r.r`` pair, then the aypx;
+  both axpys, the preconditioner, the ``r.z`` / ``r.r`` pair under one
+  allreduce, then the aypx;
 * all per-rank bills are declared analytically — precomputed
   ``(rank, amount)`` profiles handed to
   :meth:`~repro.cluster.communicator.VirtualCluster.charge_compute` /
@@ -55,7 +51,7 @@ import numpy as np
 from ..api.registry import register_backend
 from ..cluster.cost_model import BYTES_PER_FLOAT
 from ..distribution.matrix import csr_matvec
-from .base import KernelBackend
+from .base import KernelBackend, flat_dot
 from .looped import LoopedBackend
 
 #: Shared per-rank fallback (identical code path to the looped backend;
@@ -96,25 +92,11 @@ class VectorizedBackend(KernelBackend):
 
     def dot_many(self, x, others: Sequence) -> list[float]:
         cluster = x.cluster
-        x_blocks = x.blocks
-        # Reference accumulation order: per block view, rank ascending.
-        # (A whole-array dot would change the partial-sum structure and
-        # with it the low-order bits — see the contract.)
-        if len(others) == 1:
-            o_blocks = others[0].blocks
-            total = 0.0
-            for block, other in zip(x_blocks, o_blocks):
-                total += float(block.dot(other))
-            partials = [total]
-        else:
-            partials = [0.0] * len(others)
-            blocks_per_k = [other.blocks for other in others]
-            for rank, block in enumerate(x_blocks):
-                for k, o_blocks in enumerate(blocks_per_k):
-                    partials[k] += float(block.dot(o_blocks[rank]))
+        data = x.data
+        values = [flat_dot(data, other.data) for other in others]
         cluster.charge_compute(x.partition.charge_profile(2 * len(others)))
         cluster.allreduce(len(others) * BYTES_PER_FLOAT)
-        return partials
+        return values
 
     # ------------------------------------------------------------ fused chains
 
@@ -134,14 +116,10 @@ class VectorizedBackend(KernelBackend):
 
         preconditioner.apply(r, z)
 
-        # Fused reduction pair: each r-block feeds both partials, in the
-        # reference order — one ``ddot`` per node block, ascending rank.
-        rz_new = 0.0
-        r_norm_sq = 0.0
-        z_blocks = z.blocks
-        for rank, r_block in enumerate(r.blocks):
-            rz_new += float(r_block.dot(z_blocks[rank]))
-            r_norm_sq += float(r_block.dot(r_block))
+        # Fused reduction pair: two canonical dots, one allreduce.
+        r_data = r.data
+        rz_new = flat_dot(r_data, z.data)
+        r_norm_sq = flat_dot(r_data, r_data)
         cluster.charge_compute(x.partition.charge_profile(4))
         cluster.allreduce(2 * BYTES_PER_FLOAT)
 

@@ -8,18 +8,23 @@ same preconditioner family as the outer solve (block Jacobi, blocks
 The inner system is small (ψ node blocks) and lives entirely on the
 replacement group, so this solver is a plain sequential PCG on numpy
 arrays; the caller charges its cost to the replacement nodes' clocks
-using the returned iteration/flop counts.
+using the returned iteration/flop counts.  Its dot products and norms
+use the engine's canonical reduction
+(:func:`~repro.kernels.base.flat_dot`), so its bits do not depend on
+the BLAS thread count either.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 
 from ..exceptions import ConfigurationError, ConvergenceError
+from ..kernels.base import flat_dot
 from ..preconditioners.block_jacobi import split_into_blocks
 from ..preconditioners.blocks import block_diagonal_csr, gather_diagonal_blocks
 
@@ -94,7 +99,7 @@ def inner_pcg(
         maxiter = max(200, 60 * n)
 
     precond, precond_flops = serial_block_jacobi(matrix, max_block_size)
-    rhs_norm = float(np.linalg.norm(rhs))
+    rhs_norm = math.sqrt(flat_dot(rhs, rhs))
     if rhs_norm == 0.0:
         return np.zeros(n), InnerSolveReport(0, 0.0, 0.0, True)
 
@@ -102,26 +107,26 @@ def inner_pcg(
     r = rhs - matrix @ x
     z = precond(r)
     p = z.copy()
-    rz = float(r @ z)
+    rz = flat_dot(r, z)
     flops = 2.0 * matrix.nnz + precond_flops
 
     iterations = 0
-    relative = float(np.linalg.norm(r)) / rhs_norm
+    relative = math.sqrt(flat_dot(r, r)) / rhs_norm
     while relative > rtol and iterations < maxiter:
         ap = matrix @ p
-        pap = float(p @ ap)
+        pap = flat_dot(p, ap)
         if pap <= 0.0:
             raise ConvergenceError("inner PCG (A_ff not SPD?)", iterations, relative, rtol)
         alpha = rz / pap
         x += alpha * p
         r -= alpha * ap
         z = precond(r)
-        rz_new = float(r @ z)
+        rz_new = flat_dot(r, z)
         beta = rz_new / rz if rz != 0.0 else 0.0
         rz = rz_new
         p = z + beta * p
         iterations += 1
-        relative = float(np.linalg.norm(r)) / rhs_norm
+        relative = math.sqrt(flat_dot(r, r)) / rhs_norm
         flops += 2.0 * matrix.nnz + precond_flops + 10.0 * n
 
     converged = relative <= rtol

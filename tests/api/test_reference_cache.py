@@ -129,3 +129,20 @@ def test_cache_entries_are_keyed_by_topology(problem, tmp_path):
     assert wide.setup_events["reference"] == 1
     assert wide.setup_events["reference_disk"] == 0
     assert len(list(tmp_path.glob("reference-*.npz"))) == 2
+
+
+def test_entries_spooled_under_another_reduction_are_recomputed(
+    problem, tmp_path, monkeypatch
+):
+    """A spool written under another dot-product association is stale."""
+    from repro.api import session as session_module
+
+    monkeypatch.setattr(session_module, "REDUCTION_TAG", "per-block/ascending-rank")
+    _session(problem, tmp_path).reference()
+    monkeypatch.undo()
+
+    current = _session(problem, tmp_path)
+    current.reference()
+    assert current.setup_events["reference_disk"] == 0
+    assert current.setup_events["reference"] == 1
+    assert len(list(tmp_path.glob("reference-*.npz"))) == 2
