@@ -71,7 +71,6 @@ def build_spec(scale: str, intervals, repetitions: int, n_nodes: int = 8):
         ),
         repetitions=repetitions,
         seed=2020,
-        backends=("vectorized",),
     )
 
 

@@ -13,7 +13,8 @@ taxonomy; this demo walks its flagship member, silent data corruption:
    and show it silently converging to a wrong answer — the recursive
    residual stays consistent while x drifts.
 
-Fault injection is backend-invariant; ``tests/faults`` pins that.
+Fault injection mutates owned blocks and consults no kernel code, so
+it is backend-invariant.
 
 Run:  python examples/faults_demo.py
 """

@@ -226,9 +226,9 @@ def solve(
     rule:
         ASpMV extra-entry selection rule (``"paper"`` or ``"greedy"``).
     backend:
-        Compute-kernel backend (``"looped"`` or ``"vectorized"``; any
-        registered name).  ``None`` keeps the default (vectorized) — or,
-        with an adopted ``cluster``, that cluster's backend.
+        Compute-kernel backend (any registered name; the built-in is
+        ``"vectorized"``).  ``None`` keeps the default — or, with an
+        adopted ``cluster``, that cluster's backend.
 
     Inputs are validated eagerly: unknown strategy/preconditioner
     names, ``maxiter < 1`` and ``phi >= n_nodes`` raise

@@ -83,9 +83,8 @@ class SolveRequest:
     destinations: str = "eq1"
     #: Compute-kernel backend executing the numerics (``None``: inherit
     #: the session's backend, which defaults to ``"vectorized"``).  Any
-    #: name registered via :func:`repro.api.register_backend`; the
-    #: built-ins are ``"looped"`` and ``"vectorized"`` and produce
-    #: bit-identical reports (see :mod:`repro.kernels`).
+    #: name registered via :func:`repro.api.register_backend`, e.g. a
+    #: plugin that times the default (see :mod:`repro.kernels`).
     backend: str | None = None
     #: Initial guess policy.  ``None`` starts from zero; ``"previous"``
     #: warm-starts from the final iterate of the session's previous

@@ -401,9 +401,10 @@ class SolverSession:
         reference request (preconditioner + params, rtol, maxiter) —
         and the reduction definition (:data:`REDUCTION_TAG`), so entries
         spooled under another dot-product association are recomputed,
-        not mixed into new reports.  Kernel backends are bit-identical
-        by contract, so the backend is deliberately *not* part of the
-        key — looped and vectorized workers share entries.
+        not mixed into new reports.  A kernel backend must reproduce
+        the default's bits (:mod:`repro.kernels.base`), so the backend
+        is deliberately *not* part of the key — a session running a
+        timing plugin shares entries with one running the default.
         """
         cost_model = self._cost_model if self._cost_model is not None else CostModel()
         topology = self._topology

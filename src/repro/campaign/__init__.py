@@ -53,9 +53,8 @@ A campaign spec file is a single JSON object::
       ],
       "repetitions": 2,                    # seeded repetitions per cell
       "seed": 2020,                        # campaign base seed
-      "rtol": 1e-08,                       # solver tolerance
-      "backends": ["vectorized"]           # compute-kernel backends
-    }                                      #   (list several to A/B them)
+      "rtol": 1e-08                        # solver tolerance
+    }
 
 Every scenario ``kind`` accepts the keyword parameters of the matching
 generator in :mod:`repro.campaign.scenarios` (``scenario_kinds()``

@@ -81,7 +81,7 @@ def _session_for(
     different (or no) spool directories never share a session.
     """
     from ..api.session import SolverSession
-    from ..harness.calibration import BENCH_COST_MODEL
+    from ..cluster.cost_model import BENCH_COST_MODEL
 
     return SolverSession.from_problem(
         problem,
@@ -154,7 +154,6 @@ def run_one(run: RunSpec) -> CampaignRunRecord:
         strategy=run.strategy,
         T=run.T,
         phi=run.phi,
-        backend=report.backend or run.backend,
         scenario_kind=run.scenario.kind,
         scenario_params=dict(run.scenario.params),
         repetition=run.repetition,

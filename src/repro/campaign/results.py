@@ -24,16 +24,24 @@ import csv
 import dataclasses
 import json
 import pathlib
+import statistics
 from typing import Any, Iterable, Mapping
 
 from ..exceptions import ConfigurationError
-from ..harness.metrics import median
 from .scenarios import ScenarioSpec
 
 #: ``faults[...]`` counter keys (see
 #: :class:`~repro.cluster.statistics.ClusterStats`) that count *injected*
 #: faults, as opposed to the solver's reactions to them.
 _INJECTED_FAULT_KINDS = ("node_failure", "sdc", "churn")
+
+
+def median(values: Iterable[float]) -> float:
+    """Median of a non-empty iterable (paper: median of ≥5 repetitions)."""
+    data = list(values)
+    if not data:
+        raise ConfigurationError("median of an empty sequence")
+    return float(statistics.median(data))
 
 
 def _cell_median(values: Iterable[Any]) -> float | None:
@@ -89,11 +97,6 @@ class CampaignRunRecord:
     #: :class:`repro.cluster.statistics.ClusterStats`), so
     #: communication-volume regressions can be swept campaign-style.
     stats: dict[str, float] = dataclasses.field(default_factory=dict)
-    #: Compute-kernel backend that executed the run (records stored
-    #: before backends existed load as the then-only ``"vectorized"``
-    #: semantics, i.e. the per-rank reference numerics — the two are
-    #: bit-identical by contract, so the label is interchangeable).
-    backend: str = "vectorized"
 
     @property
     def wasted_iterations(self) -> int:
@@ -118,9 +121,10 @@ class CampaignRunRecord:
             int(i) for i in payload.get("failure_iterations") or ()
         )
         # Records written before the stats column existed load as {};
-        # records without a backend column load as the default backend.
+        # records written while campaigns swept kernel backends load
+        # without their backend column (every backend agreed bit for bit).
         payload["stats"] = dict(payload.get("stats") or {})
-        payload.setdefault("backend", "vectorized")
+        payload.pop("backend", None)
         # Records written while a measured host wall-clock column still
         # existed load without it (it was nondeterministic noise).
         payload.pop("wall_time", None)
@@ -287,23 +291,16 @@ class CampaignResult:
                 continue
             if record.strategy == "reference":
                 continue
-            key = (
-                record.strategy,
-                record.T,
-                record.scenario_label,
-                record.phi,
-                record.backend,
-            )
+            key = (record.strategy, record.T, record.scenario_label, record.phi)
             groups.setdefault(key, []).append(record)
         rows = []
-        for (strategy, T, scenario, phi, backend), cell in sorted(groups.items()):
+        for (strategy, T, scenario, phi), cell in sorted(groups.items()):
             rows.append(
                 {
                     "strategy": strategy,
                     "T": T,
                     "scenario": scenario,
                     "phi": phi,
-                    "backend": backend,
                     "runs": len(cell),
                     "converged": all(r.converged for r in cell),
                     "total_overhead": _cell_median([r.total_overhead for r in cell]),
@@ -326,10 +323,6 @@ class CampaignResult:
             )
         return rows
 
-    def backends(self) -> tuple[str, ...]:
-        """Distinct kernel backends appearing in the records."""
-        return tuple(sorted({r.backend for r in self.records}))
-
     def communication_rows(self, problem: str | None = None) -> list[dict[str, Any]]:
         """Median per-channel traffic per (strategy, T, scenario, ϕ) cell.
 
@@ -344,16 +337,10 @@ class CampaignResult:
                 continue
             if not record.stats:
                 continue
-            key = (
-                record.strategy,
-                record.T,
-                record.scenario_label,
-                record.phi,
-                record.backend,
-            )
+            key = (record.strategy, record.T, record.scenario_label, record.phi)
             groups.setdefault(key, []).append(record)
         rows = []
-        for (strategy, T, scenario, phi, backend), cell in sorted(groups.items()):
+        for (strategy, T, scenario, phi), cell in sorted(groups.items()):
             channels = sorted(
                 {
                     key[len("bytes["):-1]
@@ -369,7 +356,6 @@ class CampaignResult:
                         "T": T,
                         "scenario": scenario,
                         "phi": phi,
-                        "backend": backend,
                         "channel": channel,
                         "runs": len(cell),
                         "bytes": median(
@@ -391,21 +377,21 @@ class CampaignResult:
 
         The A/B view for two stored campaign result files (two code
         revisions, two machine models): cells are matched on
-        (strategy, T, scenario, ϕ, backend); each row carries both
+        (strategy, T, scenario, ϕ); each row carries both
         medians and their difference in percentage points (``None``
         where a cell exists on only one side).
         """
         ours = {
-            (r["strategy"], r["T"], r["scenario"], r["phi"], r["backend"]): r
+            (r["strategy"], r["T"], r["scenario"], r["phi"]): r
             for r in self.overhead_rows(problem)
         }
         theirs = {
-            (r["strategy"], r["T"], r["scenario"], r["phi"], r["backend"]): r
+            (r["strategy"], r["T"], r["scenario"], r["phi"]): r
             for r in baseline.overhead_rows(problem)
         }
         rows: list[dict[str, Any]] = []
         for key in sorted(set(ours) | set(theirs)):
-            strategy, T, scenario, phi, backend = key
+            strategy, T, scenario, phi = key
             a, b = ours.get(key), theirs.get(key)
 
             def _side(row, field: str):
@@ -426,7 +412,6 @@ class CampaignResult:
                     "T": T,
                     "scenario": scenario,
                     "phi": phi,
-                    "backend": backend,
                     "runs": a["runs"] if a else 0,
                     "baseline_runs": b["runs"] if b else 0,
                     "total_overhead": _side(a, "total_overhead"),
@@ -445,7 +430,7 @@ class CampaignResult:
         """Per-cell, per-channel communication-volume deltas vs. a baseline.
 
         The communication analogue of :meth:`compare`: cells are
-        matched on (strategy, T, scenario, ϕ, backend, channel); each
+        matched on (strategy, T, scenario, ϕ, channel); each
         row carries the median byte/message counts of both sides and
         their absolute and relative deltas (``None`` where a cell
         exists on only one side; relative deltas are against the
@@ -453,17 +438,14 @@ class CampaignResult:
         """
         def keyed(result: "CampaignResult") -> dict[tuple, dict[str, Any]]:
             return {
-                (
-                    r["strategy"], r["T"], r["scenario"], r["phi"],
-                    r["backend"], r["channel"],
-                ): r
+                (r["strategy"], r["T"], r["scenario"], r["phi"], r["channel"]): r
                 for r in result.communication_rows(problem)
             }
 
         ours, theirs = keyed(self), keyed(baseline)
         rows: list[dict[str, Any]] = []
         for key in sorted(set(ours) | set(theirs)):
-            strategy, T, scenario, phi, backend, channel = key
+            strategy, T, scenario, phi, channel = key
             a, b = ours.get(key), theirs.get(key)
 
             def _delta(field: str):
@@ -482,7 +464,6 @@ class CampaignResult:
                     "T": T,
                     "scenario": scenario,
                     "phi": phi,
-                    "backend": backend,
                     "channel": channel,
                     "runs": a["runs"] if a else 0,
                     "baseline_runs": b["runs"] if b else 0,
@@ -505,16 +486,10 @@ class CampaignResult:
             f"baseline {baseline.name!r}"
         ]
         problems = tuple(sorted(set(self.problems()) | set(baseline.problems())))
-        multi_backend = len(set(self.backends()) | set(baseline.backends())) > 1
         for problem in problems:
             rows = self.compare_communication(baseline, problem=problem)
             if not rows:
                 continue
-            if multi_backend:
-                rows = [
-                    {**row, "scenario": f"{row['scenario']} [{row['backend']}]"}
-                    for row in rows
-                ]
             lines.append("")
             lines.append(f"problem {problem}")
             header = (
@@ -554,16 +529,10 @@ class CampaignResult:
             f"baseline {baseline.name!r} ({len(baseline.records)} runs)"
         ]
         problems = tuple(sorted(set(self.problems()) | set(baseline.problems())))
-        multi_backend = len(set(self.backends()) | set(baseline.backends())) > 1
         for problem in problems:
             rows = self.compare(baseline, problem=problem)
             if not rows:
                 continue
-            if multi_backend:
-                rows = [
-                    {**row, "scenario": f"{row['scenario']} [{row['backend']}]"}
-                    for row in rows
-                ]
             lines.append("")
             lines.append(f"problem {problem}")
             header = (
@@ -630,14 +599,9 @@ class CampaignResult:
             )
             lines.append(header)
             lines.append("-" * len(header))
-            rows = self.overhead_rows(problem)
-            multi_backend = len(self.backends()) > 1
             cells: dict[tuple, dict[int, dict]] = {}
-            for row in rows:
-                scenario = row["scenario"]
-                if multi_backend:
-                    scenario = f"{scenario} [{row['backend']}]"
-                key = (row["strategy"], row["T"], scenario)
+            for row in self.overhead_rows(problem):
+                key = (row["strategy"], row["T"], row["scenario"])
                 cells.setdefault(key, {})[row["phi"]] = row
             last_strategy_T = None
             for (strategy, T, scenario), by_phi in sorted(

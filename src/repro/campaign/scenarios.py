@@ -13,7 +13,7 @@ Kinds
 ``worst_case``
     The paper's §5 protocol: one contiguous block of ψ = ϕ ranks fails
     two iterations before the end of the checkpoint interval containing
-    C/2 (placement from :func:`repro.harness.runner.place_worst_case_failure`).
+    C/2 (placement from :func:`place_worst_case_failure`).
 ``fraction``
     One contiguous-block failure at iteration ``fraction * C``.
 ``multi_node``
@@ -139,6 +139,38 @@ class ScenarioSpec:
 # ----------------------------------------------------------------- generators
 
 
+def place_worst_case_failure(strategy: str, T: int, reference_iterations: int) -> int:
+    """The paper's failure placement (§5).
+
+    "We introduce a node failure in the interval between checkpoints
+    that contains the iteration C/2 ... two iterations before its end."
+
+    Checkpoint/recovery points per strategy:
+
+    * ESR (or ESRP with T ≤ 2): every iteration is a recovery point —
+      the failure goes to C/2 itself;
+    * ESRP (T ≥ 3): storage stages complete at iterations kT+1 (k ≥ 1);
+    * IMCR: checkpoints are taken at iterations kT (k ≥ 1).
+    """
+    if reference_iterations < 1:
+        raise ConfigurationError("reference_iterations must be >= 1")
+    half = reference_iterations // 2
+    key = strategy.lower()
+    if key == "esr" or (key == "esrp" and T <= 2):
+        return max(half, 1)
+    if key == "esrp":
+        # recovery points: kT+1; interval containing `half` ends at the
+        # next recovery point; failure 2 iterations before that.
+        k = max((half - 1) // T, 0)
+        next_point = (k + 1) * T + 1
+        return max(next_point - 2, 1)
+    if key == "imcr":
+        k = max(half // T, 0)
+        next_point = (k + 1) * T
+        return max(next_point - 2, 1)
+    raise ConfigurationError(f"no worst-case placement rule for strategy {strategy!r}")
+
+
 def _failure_free(ctx: ScenarioContext) -> FailureSchedule:
     return FailureSchedule()
 
@@ -146,10 +178,6 @@ def _failure_free(ctx: ScenarioContext) -> FailureSchedule:
 def _worst_case(
     ctx: ScenarioContext, location: str = "start", width: int | None = None
 ) -> FailureSchedule:
-    # Imported here: harness.runner imports strategy/solver layers that
-    # in turn are campaign consumers — keep the module graph acyclic.
-    from ..harness.runner import place_worst_case_failure
-
     width = ctx.clamp_width(width)
     iteration = ctx.clamp_iteration(
         place_worst_case_failure(ctx.strategy, ctx.T, ctx.reference_iterations)

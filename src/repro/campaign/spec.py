@@ -80,19 +80,18 @@ class RunSpec:
     #: Campaign base seed (matrix generation — same matrix for all runs).
     problem_seed: int
     rtol: float
-    #: Compute-kernel backend executing the run's numerics.
+    #: Compute-kernel backend executing the run's numerics (a
+    #: registered plugin may time or trace the default; it is not part
+    #: of the run's identity).
     backend: str = "vectorized"
 
     @property
     def run_id(self) -> str:
-        """Stable human-readable identity (also the dedup/seed key).
-
-        The backend suffix appears only for non-default backends, so
-        run ids (and the seeds derived from them) of default-backend
-        runs match those of records stored before backends existed.
-        """
-        backend = "" if self.backend == "vectorized" else f":{self.backend}"
-        return self.seed_key + backend
+        """Stable human-readable identity (also the dedup/seed key)."""
+        return (
+            f"{self.config_key}:{self.strategy}:T{self.T}:phi{self.phi}"
+            f":{self.scenario.label}:rep{self.repetition}"
+        )
 
     @property
     def config_key(self) -> str:
@@ -102,7 +101,7 @@ class RunSpec:
         state: the :class:`~repro.api.session.SolverSession` (matrix,
         cluster, partition, factorised preconditioners) is memoised on
         (problem, scale, n_nodes) and the reference-trajectory cache on
-        the preconditioner, so this prefix of :attr:`seed_key` is what
+        the preconditioner, so this prefix of :attr:`run_id` is what
         configuration-affine queue claiming groups by.  (The serve
         layer pools on the session part alone — see
         :attr:`repro.serve.service.ServeRequest.session_key` — because
@@ -110,20 +109,6 @@ class RunSpec:
         """
         return (
             f"{self.problem}:{self.scale}:n{self.n_nodes}:{self.preconditioner}"
-        )
-
-    @property
-    def seed_key(self) -> str:
-        """Run identity *without* the backend (the seed-derivation key).
-
-        Deriving the per-run seed from the backend-free identity gives
-        the same cell the same noise stream under every backend, so a
-        backend A/B sweep compares bit-identical trajectories instead
-        of re-rolled ones.
-        """
-        return (
-            f"{self.config_key}:{self.strategy}:T{self.T}:phi{self.phi}"
-            f":{self.scenario.label}:rep{self.repetition}"
         )
 
     def to_dict(self) -> dict[str, Any]:
@@ -167,14 +152,8 @@ class CampaignSpec:
     repetitions: int = 1
     seed: int = 2020
     rtol: float = 1e-8
-    #: Compute-kernel backends to sweep (usually just the default; list
-    #: several — e.g. ``("looped", "vectorized")`` — to A/B backends
-    #: within one campaign).
-    backends: tuple[str, ...] = ("vectorized",)
 
     def __post_init__(self) -> None:
-        if not self.backends:
-            raise ConfigurationError("campaign needs at least one kernel backend")
         if self.n_nodes < 2:
             raise ConfigurationError("campaigns need at least 2 nodes")
         if self.repetitions < 1:
@@ -197,6 +176,14 @@ class CampaignSpec:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "CampaignSpec":
         payload = dict(data)
+        # Specs stored while campaigns swept kernel backends list the
+        # one that remains; any other backend cannot be honoured.
+        backends = payload.pop("backends", ["vectorized"])
+        if list(backends) != ["vectorized"]:
+            raise ConfigurationError(
+                f"campaign spec sweeps kernel backends {list(backends)!r}; "
+                "only 'vectorized' exists"
+            )
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(payload) - known
         if unknown:
@@ -213,7 +200,7 @@ class CampaignSpec:
             payload["scenarios"] = tuple(
                 ScenarioSpec.from_dict(s) for s in payload["scenarios"]
             )
-        for key in ("preconditioners", "phis", "backends"):
+        for key in ("preconditioners", "phis"):
             if key in payload:
                 payload[key] = tuple(payload[key])
         return cls(**payload)
@@ -240,7 +227,6 @@ class CampaignSpec:
             "repetitions": self.repetitions,
             "seed": self.seed,
             "rtol": self.rtol,
-            "backends": list(self.backends),
         }
 
 
@@ -289,33 +275,31 @@ def expand_spec(spec: CampaignSpec) -> list[RunSpec]:
                 for T_raw in strategy_spec.intervals:
                     for phi in spec.phis:
                         for scenario in spec.scenarios:
-                            for backend in spec.backends:
-                                strategy, T = _canonical_strategy(
-                                    strategy_spec.name, T_raw
+                            strategy, T = _canonical_strategy(
+                                strategy_spec.name, T_raw
+                            )
+                            if strategy == "reference":
+                                if scenario.injects_failures:
+                                    continue
+                                phi = 1
+                            for repetition in range(spec.repetitions):
+                                run = RunSpec(
+                                    problem=problem,
+                                    scale=scale,
+                                    n_nodes=spec.n_nodes,
+                                    preconditioner=preconditioner,
+                                    strategy=strategy,
+                                    T=T,
+                                    phi=phi,
+                                    scenario=scenario,
+                                    repetition=repetition,
+                                    seed=0,
+                                    problem_seed=spec.seed,
+                                    rtol=spec.rtol,
                                 )
-                                if strategy == "reference":
-                                    if scenario.injects_failures:
-                                        continue
-                                    phi = 1
-                                for repetition in range(spec.repetitions):
-                                    run = RunSpec(
-                                        problem=problem,
-                                        scale=scale,
-                                        n_nodes=spec.n_nodes,
-                                        preconditioner=preconditioner,
-                                        strategy=strategy,
-                                        T=T,
-                                        phi=phi,
-                                        scenario=scenario,
-                                        repetition=repetition,
-                                        seed=0,
-                                        problem_seed=spec.seed,
-                                        rtol=spec.rtol,
-                                        backend=backend,
-                                    )
-                                    seed = derive_seed(spec.seed, run.seed_key)
-                                    run = dataclasses.replace(run, seed=seed)
-                                    runs.setdefault(run.run_id, run)
+                                seed = derive_seed(spec.seed, run.run_id)
+                                run = dataclasses.replace(run, seed=seed)
+                                runs.setdefault(run.run_id, run)
     return list(runs.values())
 
 

@@ -95,9 +95,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="redundant copies / tolerated failures")
     solve_cmd.add_argument("--preconditioner", default="block_jacobi",
                            choices=available_preconditioners())
-    solve_cmd.add_argument("--backend", default=None,
-                           help="compute-kernel backend (looped|vectorized; "
-                           "default: vectorized)")
     solve_cmd.add_argument("--rtol", type=float, default=1e-8)
     solve_cmd.add_argument("--fail", action="append", default=[],
                            metavar="ITER:RANKS",
@@ -139,9 +136,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="matrix scale of the built-in demo sweep")
     run_cmd.add_argument("--repetitions", type=int, default=None,
                          help="override the spec's repetitions per cell")
-    run_cmd.add_argument("--backends", default=None, metavar="NAMES",
-                         help="comma-separated kernel backends to sweep "
-                         "(overrides the spec, e.g. looped,vectorized)")
     from .api.session import DEFAULT_CACHE_DIR
 
     run_cmd.add_argument("--cache-dir", nargs="?", const=DEFAULT_CACHE_DIR,
@@ -179,8 +173,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             help="matrix scale of the built-in demo sweep")
     submit_cmd.add_argument("--repetitions", type=int, default=None,
                             help="override the spec's repetitions per cell")
-    submit_cmd.add_argument("--backends", default=None, metavar="NAMES",
-                            help="comma-separated kernel backends to sweep")
     submit_cmd.add_argument("--max-attempts", type=int, default=None, metavar="N",
                             help="retry policy: dead-letter a task after N "
                             "failed (exception-raising) attempts (default: 3)")
@@ -326,7 +318,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         rtol=args.rtol,
         failures=failures,
         seed=args.seed,
-        backend=args.backend,
         n_nodes=args.nodes,
     )
     session = SolverSession(matrix, b, n_nodes=args.nodes, seed=args.seed)
@@ -386,9 +377,6 @@ def _campaign_spec_from_args(args: argparse.Namespace):
         spec = demo_spec(scale=args.scale)
     if args.repetitions is not None:
         spec = dataclasses.replace(spec, repetitions=args.repetitions)
-    if args.backends is not None:
-        names = tuple(n.strip() for n in args.backends.split(",") if n.strip())
-        spec = dataclasses.replace(spec, backends=names)
     return spec
 
 

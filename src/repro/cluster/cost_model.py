@@ -151,6 +151,17 @@ class CostModel:
 #: :mod:`repro.harness.calibration` for the rationale.
 VSC3_LIKE = CostModel()
 
+#: The calibrated deterministic model of the benchmarks and campaigns
+#: (noise added on request; rationale in :mod:`repro.harness.calibration`).
+BENCH_COST_MODEL = CostModel(
+    alpha=6.0e-7,
+    beta=1.6e-10,
+    gamma=1.0e-9,
+    mu=1.5e-11,
+    hop_penalty=0.15,
+    noise=0.0,
+)
+
 
 def zero_cost_model() -> CostModel:
     """A model in which everything is free.

@@ -278,32 +278,32 @@ class RedundancyPlan:
 class FlatRedundancyCache:
     """Index and message caches for the fused augmented product.
 
-    The per-rank reference loop stashes piece by piece: for each source
-    rank in ascending order, its non-empty natural send descriptors,
-    then its extra redundancy transfers, each appended to the
-    recipient's ``(iteration, owner)`` entry.  A recipient therefore
-    ends up holding, per owner, the natural halo piece followed by the
-    extra piece.  This cache lays those runs out per recipient, so the
-    fused execution writes each recipient's whole entry at once:
+    An augmented product stashes, on each recipient, what the plan
+    sends it: for each source rank in ascending order, its non-empty
+    natural send descriptors, then its extra redundancy transfers.  A
+    recipient therefore holds, per owner, the natural halo piece
+    followed by the extra piece.  This cache lays those runs out per
+    recipient, so the fused execution writes each recipient's whole
+    entry at once:
 
     * ``stash_gather`` — global indices whose single fused gather
       ``packed = x_flat[stash_gather]`` yields every recipient's stash
       back to back (recipients ascending, owners ascending within one,
       natural piece before extra piece within one owner);
     * ``stashes`` — ``(dst, ((owner, global_indices, start, stop), ...))``
-      per recipient: ``packed[start:stop]`` are the values the reference
-      loop stores for ``owner`` on ``dst``, ``global_indices`` (the two
+      per recipient: ``packed[start:stop]`` are the values stored for
+      ``owner`` on ``dst``, ``global_indices`` (the two
       pieces' indices, concatenated once here) their indices;
     * ``messages`` / ``merged`` — the exchange's message and piggyback
-      payload lists in the reference loop's order (natural halo entries
+      payload lists in plan order (natural halo entries
       on the halo channel, extras on the redundancy channel), so the
       compiled exchange charges the same phase, bit for bit.
     """
 
     def __init__(self, redundancy: "RedundancyPlan"):
         plan = redundancy.plan
-        # pieces[dst][owner]: the index arrays the reference loop
-        # stashes on dst for owner, in its stash order.
+        # pieces[dst][owner]: the index arrays stashed on dst for
+        # owner, in stash order.
         pieces: dict[int, dict[int, list[np.ndarray]]] = {}
         messages: list[tuple[int, int, int, str, bool]] = []
         merged: list[tuple[int, int, int, str]] = []

@@ -12,14 +12,12 @@ SpMV.
 
 * for every ordered pair ``(s, l)``: the global indices ``I_{s,l}``,
   their local offsets in ``s``'s block (for packing), and their
-  positions in ``l``'s ghost buffer (for unpacking);
-* for every node: the sorted ghost-column index list and a
-  column-compressed local CSR matrix whose columns are
-  ``[own block | ghost block]``, so the per-rank (``looped``) local
-  product is a single ``csr @ dense`` call.
+  positions in ``l``'s ghost list;
+* for every node: the sorted ghost-column index list and the nnz of
+  its row block.
 
-The ``vectorized`` backend uses only the plan's *billing*: it charges
-the same halo messages and flops, but multiplies the global CSR matrix
+The kernels use only the plan's *billing*: they charge the halo
+messages and flops it describes, but multiply the global CSR matrix
 against the flat vector, with no ghost copy (:class:`FlatPlanCache`).
 """
 
@@ -44,7 +42,7 @@ class SendDescriptor:
     global_indices: np.ndarray
     #: The same indices as offsets into src's local block.
     local_indices: np.ndarray
-    #: Positions of these entries inside dst's ghost buffer.
+    #: Positions of these entries inside dst's sorted ghost list.
     ghost_positions: np.ndarray
 
     @property
@@ -72,8 +70,6 @@ class SpMVPlan:
         self.recvs: list[list[SendDescriptor]] = [[] for _ in range(n_nodes)]
         #: ghost_globals[dst] = sorted global indices of dst's ghost columns.
         self.ghost_globals: list[np.ndarray] = []
-        #: local_matrices[rank] = column-compressed CSR of A[I_rank, :].
-        self.local_matrices: list[sp.csr_matrix] = []
         #: nnz of each row block (for flop accounting).
         self.local_nnz: list[int] = []
 
@@ -85,17 +81,6 @@ class SpMVPlan:
             needed = np.unique(block.indices)
             ghosts = needed[(needed < lo) | (needed >= hi)]
             self.ghost_globals.append(ghosts.astype(np.int64))
-
-            # Column compression: [own | ghosts] -> local column ids.
-            col_map = np.empty(partition.n, dtype=np.int64)
-            n_local = hi - lo
-            col_map[lo:hi] = np.arange(n_local)
-            col_map[ghosts] = n_local + np.arange(ghosts.size)
-            compressed = sp.csr_matrix(
-                (block.data, col_map[block.indices], block.indptr),
-                shape=(n_local, n_local + ghosts.size),
-            )
-            self.local_matrices.append(compressed)
 
             if ghosts.size:
                 owners = partition.owners(ghosts)
@@ -176,10 +161,9 @@ class SpMVPlan:
     def message_template(self, channel: str) -> tuple:
         """The halo exchange's message list, precomputed per channel.
 
-        Identical — same order, same ``(src, dst, nbytes, channel,
-        merged)`` tuples — to the list the per-rank loop assembles on
-        every call: for each source rank in ascending order, one entry
-        per non-empty send descriptor.
+        ``(src, dst, nbytes, channel, merged)`` tuples: for each source
+        rank in ascending order, one entry per non-empty send
+        descriptor.
         """
         template = self._message_templates.get(channel)
         if template is None:
@@ -199,12 +183,11 @@ class FlatPlanCache:
     The fused product needs no operator of its own: it multiplies
     :attr:`~repro.distribution.matrix.DistributedMatrix.global_csr`
     against the flat input vector.  Row slicing keeps each row's entry
-    order, so the global rows hold the per-rank local rows' entries in
-    the same order (only the column compression differs), and every row
-    sums exactly as the per-rank ``local @ [own | ghosts]`` product
-    does.  The halo exchange is billed, not copied: the ghost values
-    the local matrices would read are the entries of the flat vector
-    itself.
+    order, so the global rows hold the per-rank row blocks' entries in
+    the same order, and every row sums exactly as a per-rank
+    ``local @ [own | ghosts]`` product would.  The halo exchange is
+    billed, not copied: the ghost values a per-rank product would read
+    are the entries of the flat vector itself.
 
     * ``total_ghosts`` — ghost entries summed over all ranks (the halo
       volume one SpMV moves on the virtual cluster).

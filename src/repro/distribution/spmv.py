@@ -7,12 +7,10 @@ multiplies its column-compressed row block against
 ``[own block | ghost buffer]``.
 
 *How* the two phases execute is delegated to the cluster's
-compute-kernel backend (:mod:`repro.kernels`): the ``looped`` backend
-walks the send descriptors and node blocks one by one, copying every
-ghost entry into per-rank buffers; the ``vectorized`` backend bills the
-same messages without copying anything and multiplies
+compute-kernel backend (:mod:`repro.kernels`): the default bills the
+messages without copying anything and multiplies
 :attr:`~repro.distribution.matrix.DistributedMatrix.global_csr` against
-the flat input in one in-place matvec, with bit-identical results.
+the flat input in one in-place matvec.
 """
 
 from __future__ import annotations
@@ -28,21 +26,12 @@ HALO_CHANNEL = "spmv_halo"
 
 
 class SpMVExecutor:
-    """Executes the plain distributed SpMV for one matrix.
-
-    Reusable across iterations: the per-rank ghost buffers (read only
-    by backends that copy the halo, i.e. ``looped``) are allocated
-    once.
-    """
+    """Executes the plain distributed SpMV for one matrix."""
 
     def __init__(self, matrix: DistributedMatrix):
         self.matrix = matrix
         self.cluster = matrix.cluster
         self.plan = matrix.plan
-        self._ghost_buffers = [
-            np.zeros(ghosts.size, dtype=np.float64)
-            for ghosts in self.plan.ghost_globals
-        ]
 
     @property
     def kernels(self):

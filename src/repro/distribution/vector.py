@@ -6,10 +6,9 @@ block-row distribution, and routes every arithmetic operation through
 the cluster's compute-kernel backend (:mod:`repro.kernels`) so that
 computation and reduction costs are charged to the simulated clocks.
 The numerics are *real*: dot products, axpys and norms operate on the
-actual data exactly as the distributed algorithm would — the ``looped``
-backend node by node, the ``vectorized`` backend as fused whole-array
-operations with analytically declared billing (bit-identical results
-either way; see :mod:`repro.kernels.base` for the contract).
+actual data exactly as the distributed algorithm would, as fused
+whole-array operations with analytically declared per-node billing
+(see :mod:`repro.kernels.base` for the contract).
 
 Vectors register themselves with the cluster: when nodes fail, their
 blocks are zeroed (the paper's failure simulation wipes all vector
@@ -18,7 +17,7 @@ entries of the affected ranks).
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -114,14 +113,6 @@ class DistributedVector:
         """The local block owned by ``rank`` (a live view, not a copy)."""
         return self.blocks[rank]
 
-    def set_block(self, rank: int, values: np.ndarray) -> None:
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape != self.blocks[rank].shape:
-            raise ConfigurationError(
-                f"block {rank} has shape {self.blocks[rank].shape}, got {values.shape}"
-            )
-        self.blocks[rank][:] = values
-
     def wipe_blocks(self, ranks: Iterable[int]) -> None:
         """Zero the blocks of failed ranks (called by the cluster)."""
         for rank in ranks:
@@ -136,9 +127,6 @@ class DistributedVector:
         return self.data[np.asarray(indices, dtype=np.int64)]
 
     # ------------------------------------------------------------- arithmetic
-
-    def _each_rank(self) -> range:
-        return range(self.partition.n_nodes)
 
     def fill(self, value: float) -> None:
         self.data[:] = value
@@ -167,13 +155,6 @@ class DistributedVector:
         """``self[:] = other`` blockwise; optionally bill the memcpy."""
         self._check_compatible(other)
         self.kernels.assign(self, other, charge)
-
-    def apply_blockwise(self, func: Callable[[int, np.ndarray], np.ndarray], flops_per_entry: float = 0.0) -> None:
-        """In-place ``block <- func(rank, block)`` with optional flop billing."""
-        for rank in self._each_rank():
-            self.blocks[rank][:] = func(rank, self.blocks[rank])
-            if flops_per_entry:
-                self.cluster.compute(rank, flops_per_entry * self.blocks[rank].size)
 
     # -------------------------------------------------------------- reductions
 

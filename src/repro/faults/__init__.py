@@ -44,9 +44,8 @@ Injection-hook contract
   index/bit draw.  Same seed ⇒ byte-identical schedule ⇒ byte-identical
   ``CampaignResult``.
 * **Backend invariance.** Corruption mutates owned numpy blocks
-  elementwise and consults no kernel code, so outcomes are identical
-  under the ``looped`` and ``vectorized`` backends (which are
-  bit-identical by contract).
+  elementwise and consults no kernel code, so outcomes do not depend
+  on the kernel backend (a timing plugin sees the same bits).
 * **Counting.** Every injected fault increments a ``faults[<kind>]``
   counter in ``ClusterStats`` (via ``VirtualCluster.record_fault``);
   detections and rollbacks increment ``faults[sdc_detected]`` /

@@ -27,17 +27,7 @@ medians of repeated runs, mirroring the paper's protocol.
 
 from __future__ import annotations
 
-from ..cluster.cost_model import CostModel
-
-#: Deterministic model used by default in benches (noise added on request).
-BENCH_COST_MODEL = CostModel(
-    alpha=6.0e-7,
-    beta=1.6e-10,
-    gamma=1.0e-9,
-    mu=1.5e-11,
-    hop_penalty=0.15,
-    noise=0.0,
-)
+from ..cluster.cost_model import BENCH_COST_MODEL, CostModel
 
 
 def bench_cost_model() -> CostModel:

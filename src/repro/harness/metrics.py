@@ -13,22 +13,21 @@
 from __future__ import annotations
 
 import dataclasses
-import statistics
-from typing import Iterable, Sequence
+import math
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
+from ..campaign.results import median
 from ..exceptions import ConfigurationError
+from ..kernels.base import flat_dot
 from ..solvers.engine import SolveResult
 
 
-def median(values: Iterable[float]) -> float:
-    """Median of a non-empty iterable (paper: median of ≥5 repetitions)."""
-    data = list(values)
-    if not data:
-        raise ConfigurationError("median of an empty sequence")
-    return float(statistics.median(data))
+def _norm(v: np.ndarray) -> float:
+    """‖v‖₂ by the engine's canonical reduction (BLAS-thread independent)."""
+    return math.sqrt(flat_dot(v, v))
 
 
 def relative_overhead(runtime: float, reference_runtime: float) -> float:
@@ -40,7 +39,7 @@ def relative_overhead(runtime: float, reference_runtime: float) -> float:
 
 def true_residual_norm(matrix: sp.spmatrix, b: np.ndarray, x: np.ndarray) -> float:
     """‖b − A x‖₂ recomputed from scratch (not the CG recursion)."""
-    return float(np.linalg.norm(np.asarray(b).ravel() - sp.csr_matrix(matrix) @ x))
+    return _norm(np.asarray(b, dtype=np.float64).ravel() - sp.csr_matrix(matrix) @ x)
 
 
 def residual_drift(
@@ -58,7 +57,7 @@ def residual_drift(
 
 def drift_from_result(matrix: sp.spmatrix, b: np.ndarray, result: SolveResult) -> float:
     """Residual drift of a finished solve (‖r‖ from the recursion)."""
-    b_norm = float(np.linalg.norm(np.asarray(b).ravel()))
+    b_norm = _norm(np.asarray(b, dtype=np.float64).ravel())
     recursive_norm = result.relative_residual * b_norm
     return residual_drift(matrix, b, result.x, recursive_norm)
 

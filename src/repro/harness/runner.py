@@ -16,6 +16,7 @@ import dataclasses
 
 from ..api.request import SolveRequest
 from ..api.session import SolverSession
+from ..campaign.scenarios import place_worst_case_failure
 from ..cluster.failures import FailureEvent, block_failure_ranks
 from ..exceptions import ConfigurationError
 from ..matrices import suite
@@ -23,38 +24,6 @@ from ..solvers.engine import SolveResult
 from .calibration import BENCH_COST_MODEL
 from .config import ExperimentConfig
 from .metrics import drift_from_result, median, relative_overhead
-
-
-def place_worst_case_failure(strategy: str, T: int, reference_iterations: int) -> int:
-    """The paper's failure placement (§5).
-
-    "We introduce a node failure in the interval between checkpoints
-    that contains the iteration C/2 ... two iterations before its end."
-
-    Checkpoint/recovery points per strategy:
-
-    * ESR (or ESRP with T ≤ 2): every iteration is a recovery point —
-      the failure goes to C/2 itself;
-    * ESRP (T ≥ 3): storage stages complete at iterations kT+1 (k ≥ 1);
-    * IMCR: checkpoints are taken at iterations kT (k ≥ 1).
-    """
-    if reference_iterations < 1:
-        raise ConfigurationError("reference_iterations must be >= 1")
-    half = reference_iterations // 2
-    key = strategy.lower()
-    if key == "esr" or (key == "esrp" and T <= 2):
-        return max(half, 1)
-    if key == "esrp":
-        # recovery points: kT+1; interval containing `half` ends at the
-        # next recovery point; failure 2 iterations before that.
-        k = max((half - 1) // T, 0)
-        next_point = (k + 1) * T + 1
-        return max(next_point - 2, 1)
-    if key == "imcr":
-        k = max(half // T, 0)
-        next_point = (k + 1) * T
-        return max(next_point - 2, 1)
-    raise ConfigurationError(f"no worst-case placement rule for strategy {strategy!r}")
 
 
 @dataclasses.dataclass(frozen=True)

@@ -6,49 +6,37 @@ preconditioner application) and the *accounting* (simulated per-node
 clocks, per-channel byte/message statistics, failure semantics).  This
 package separates them behind the :class:`KernelBackend` protocol.
 
-Backend comparison
-------------------
+The built-in backend
+--------------------
 
-=============  ====================================  ==========================
-backend        semantics / fusion level              when to pick it
-=============  ====================================  ==========================
-``looped``     Per-rank reference loops; charges     Verification only: it is
-               incurred inside the numeric loop,     the oracle the property
-               exactly like a rank-per-process       suite pins ``vectorized``
-               implementation.  No fusion; dots      against.  Deprecated for
-               are the shared ``flat_dot``.          production use.
-``vectorized`` Fused flat-array numpy: whole-array   Everything else (the
-               elementwise ops, the halo exchange    default) — pure
-               billed without a ghost copy, one      numpy/scipy, uniformly
-               in-place CSR matvec of the global     faster than ``looped``.
-               matrix, ASpMV stashes written as
-               one dict per recipient,
-               preconditioners applied in place,
-               the PCG tail as one hook, billing
-               declared analytically as
-               whole-vector adds.
-=============  ====================================  ==========================
-
-Both backends reduce with the same function,
+``vectorized`` (the default, and the only built-in) runs fused
+flat-array numpy: whole-array elementwise ops, the halo exchange billed
+without a ghost copy, one in-place CSR matvec of the global matrix,
+ASpMV stashes written as one dict per recipient, preconditioners
+applied in place, the PCG tail as one hook, and every bill declared
+analytically as whole-vector adds.  Every dot product is
 :func:`~repro.kernels.base.flat_dot`: BLAS ``ddot`` over consecutive
 :data:`~repro.kernels.base.REDUCTION_CHUNK`-entry slices of the flat
 vectors, summed in ascending order — one association for every node
 count and every BLAS thread count.
 
-All backends are **bit-identical** and **accounting-identical** by
-contract (full statement in :mod:`repro.kernels.base`): same
-floating-point results, same
-:class:`~repro.cluster.statistics.ClusterStats`, same simulated clocks,
-same cost-noise RNG consumption — across backends, for every strategy
-and failure scenario.  ``tests/properties/test_backend_equivalence.py``
-enforces it; ``benchmarks/bench_kernels.py`` measures and gates the
-speedup of ``vectorized`` over ``looped`` (``BENCH_kernels.json``).
+What pins it (full statement in :mod:`repro.kernels.base`):
 
-Selection and registration
---------------------------
+* **numerics** — ``tests/oracle.py``, a serial textbook PCG over one
+  global operator per preconditioner; ``tests/properties/test_oracle.py``
+  requires the engine's iterates and residual history to equal it bit
+  for bit for every value-independent strategy;
+* **accounting** — ``tests/properties/accounting_pin.json``, the
+  clocks and per-channel statistics of noisy solves recorded while a
+  per-rank reference backend still agreed with this one, and
+  ``TestAccountingFastPaths`` (compiled bills equal per-item charges).
+
+Plugins
+-------
 
 Backends live in the :data:`repro.api.registry.KERNELS` registry; the
-built-ins are ordinary registrations and third-party backends join via
+built-in is an ordinary registration and a plugin (for instance a
+timing wrapper around the default) joins via
 :func:`repro.api.register_backend`::
 
     from repro.api import register_backend
@@ -59,12 +47,10 @@ built-ins are ordinary registrations and third-party backends join via
         ...
 
 The backend is a property of the virtual cluster
-(``VirtualCluster(n, kernels="looped")``, reassignable at any time);
-the service layer selects it per session
-(``SolverSession(..., backend="looped")``) or per request
-(``SolveRequest(backend="looped")``), and campaign specs sweep it
-(``CampaignSpec(backends=("looped", "vectorized"))``) so stored
-records can A/B backends.  Where no backend is named,
+(``VirtualCluster(n, kernels="my_backend")``, reassignable at any
+time); the service layer selects it per session
+(``SolverSession(..., backend="my_backend")``) or per request
+(``SolveRequest(backend="my_backend")``).  Where no backend is named,
 :data:`DEFAULT_BACKEND` (``"vectorized"``) runs.
 """
 
@@ -76,13 +62,11 @@ from .base import (
     available_backends,
     resolve_backend,
 )
-from .looped import LoopedBackend
 from .vectorized import VectorizedBackend
 
 __all__ = [
     "DEFAULT_BACKEND",
     "KernelBackend",
-    "LoopedBackend",
     "VectorizedBackend",
     "available_backends",
     "resolve_backend",

@@ -9,26 +9,34 @@ semantics) stays in the :class:`~repro.cluster.communicator.VirtualCluster`.
 The separation contract (what every backend must honour):
 
 * **Numerical equivalence** — the floating-point results must be
-  bit-identical to the ``looped`` reference backend.  In practice this
-  means: elementwise vector updates may be fused freely (the rounding
-  of ``y[i] += a * x[i]`` does not depend on how the loop is batched),
+  bit-identical to the serial textbook PCG of ``tests/oracle.py`` (one
+  ``csr_matvec`` of the global matrix, one global operator per
+  preconditioner, :func:`flat_dot` reductions, the engine's update
+  order), which ``tests/properties/test_oracle.py`` checks for every
+  value-independent strategy.  In practice this means: elementwise
+  vector updates may be fused freely (the rounding of
+  ``y[i] += a * x[i]`` does not depend on how the loop is batched),
   *every dot product is* :func:`flat_dot` *of the flat arrays* (the one
   canonical reduction: BLAS ``ddot`` over consecutive
   :data:`REDUCTION_CHUNK`-entry slices, summed in ascending order — so
   the bits depend neither on the node count nor on the BLAS thread
-  count), and sparse matvecs must keep the per-row summation order of
-  the per-node local matrices.
+  count), and a sparse matvec must sum each row's products in the
+  row's stored entry order.
 * **Accounting equivalence** — every backend must issue the *same
   sequence* of cluster charges (``compute``/``memcpy``/``exchange``/
-  ``allreduce``) with the same arguments as the reference backend.
-  This keeps :class:`~repro.cluster.statistics.ClusterStats` and the
-  simulated clocks identical, including under a noisy
+  ``allreduce``) with the same arguments: per operation, one bill per
+  rank in ascending rank order, exactly as a rank-per-process
+  implementation incurs them.  This keeps
+  :class:`~repro.cluster.statistics.ClusterStats` and the simulated
+  clocks identical, including under a noisy
   :class:`~repro.cluster.cost_model.CostModel` (the cost-noise RNG is
-  consumed in charge order).  The batched
+  consumed in charge order); ``tests/properties/accounting_pin.json``
+  records them for noisy solves.  The batched
   :meth:`~repro.cluster.communicator.VirtualCluster.charge` API exists
   so that a fused kernel can *declare* the per-rank bill analytically
   (precomputed from the communication plan) instead of incurring it
-  inside a per-rank loop.
+  inside a per-rank loop; ``TestAccountingFastPaths`` pins that the
+  compiled bills equal the per-item charges.
 * **Failure semantics** — charges validate node liveness; a backend
   must charge a fused operation *before* touching the data so a dead
   rank raises before (not halfway through) the update.
@@ -70,9 +78,9 @@ def flat_dot(a: np.ndarray, b: np.ndarray) -> float:
     BLAS ``ddot`` over consecutive :data:`REDUCTION_CHUNK`-entry slices,
     ascending: the first slice's value starts the sum and each later
     one is added to it; an empty vector gives ``0.0``.  Up to one chunk
-    this is exactly ``a @ b``.  Every dot product of the engine — both
-    backends, norms included — is this function, so its association is
-    fixed by the vector length alone.
+    this is exactly ``a @ b``.  Every dot product of the engine, norms
+    included, is this function, so its association is fixed by the
+    vector length alone.
     """
     n = a.shape[0]
     if n <= REDUCTION_CHUNK:
@@ -135,11 +143,7 @@ class KernelBackend(abc.ABC):
     def halo_exchange(
         self, executor: "SpMVExecutor", x: "DistributedVector", channel: str
     ) -> None:
-        """Charge the message phase of the ghost entries of ``x``.
-
-        A backend whose local product reads ghost buffers also fills
-        them here; one that reads ``x`` directly only bills.
-        """
+        """Charge the message phase of the ghost entries of ``x``."""
 
     @abc.abstractmethod
     def spmv_local(

@@ -5,7 +5,7 @@ block views, so:
 
 * elementwise updates (axpy/aypx/scale/subtract/assign) run as a single
   whole-array NumPy operation — elementwise rounding is independent of
-  loop batching, so the results equal the per-rank loop bit for bit;
+  loop batching, so the results equal a per-rank loop bit for bit;
 * the halo exchange is *billed, not copied*: the message phase is
   charged through one precompiled
   :meth:`~repro.cluster.communicator.VirtualCluster.exchange_compiled`
@@ -16,27 +16,27 @@ block views, so:
   against ``x_flat``.  Row slicing keeps each row's entry order, so the
   global operator's rows *are* the per-node local rows (their columns
   merely un-compressed): every row sums the same products in the same
-  order as the per-rank ``local @ [own | ghosts]`` products;
+  order as a per-rank ``local @ [own | ghosts]`` product would;
 * the ASpMV gathers every communicated piece of ``x`` in one fancy
   index and writes each recipient's redundancy entry for the iteration
   as one dict of views into that gather
   (:class:`~repro.distribution.aspmv.FlatRedundancyCache` groups the
-  pieces per recipient at plan time) — the same indices and values the
-  reference loop appends piece by piece;
+  pieces per recipient at plan time) — exactly the indices and values
+  of the Eq. 1 plan's sends and extras addressed to that recipient;
 * dot products are :func:`~repro.kernels.base.flat_dot` of the flat
-  arrays — the canonical chunked ``ddot`` both backends share — while
-  the per-rank bills stay declared per node block;
-* block-diagonal preconditioners with a fused form apply in place into
-  the output vector's storage (``flat_apply(values, out)``); the others
-  (``flat_apply is None``) run the per-rank reference path;
+  arrays — the canonical chunked ``ddot`` — while the per-rank bills
+  stay declared per node block;
+* block-diagonal preconditioners apply into the output vector's storage
+  (``flat_apply(values, out)``: one fused operation where the operator
+  has one, the per-rank solves into slices of ``out`` otherwise);
 * the PCG tail (:meth:`VectorizedBackend.cg_update`) runs as one hook:
   both axpys, the preconditioner, the ``r.z`` / ``r.r`` pair under one
   allreduce, then the aypx;
 * all per-rank bills are declared analytically — precomputed
   ``(rank, amount)`` profiles handed to
   :meth:`~repro.cluster.communicator.VirtualCluster.charge_compute` /
-  ``charge_memcpy`` in the same order the reference loop incurs them,
-  which keeps clocks, statistics and cost-noise RNG draws identical.
+  ``charge_memcpy`` in the order a per-rank loop incurs them, which
+  keeps clocks, statistics and cost-noise RNG draws identical.
 
 Charges are issued *before* the fused numeric touches the data, so a
 dead rank raises before any block or redundancy store is updated.
@@ -52,14 +52,9 @@ from ..api.registry import register_backend
 from ..cluster.cost_model import BYTES_PER_FLOAT
 from ..distribution.matrix import csr_matvec
 from .base import KernelBackend, flat_dot
-from .looped import LoopedBackend
-
-#: Shared per-rank fallback (identical code path to the looped backend;
-#: internal construction — the deprecation covers *selecting* looped).
-_LOOPED = LoopedBackend(_internal=True)
 
 
-@register_backend("vectorized", aliases=("fused", "flat"))
+@register_backend("vectorized")
 class VectorizedBackend(KernelBackend):
     """Fused flat-array execution with analytically declared billing."""
 
@@ -150,7 +145,7 @@ class VectorizedBackend(KernelBackend):
 
         # A rollback may re-execute a storage iteration: drop any stale
         # stash for it first (a pop, not an overwrite, so each store
-        # keeps the reference's iteration order).  Dead nodes need no
+        # stays in push order).  Dead nodes need no
         # liveness check: a wipe emptied their stores, and the exchange
         # above raised if any stash would reach one.
         iteration = int(iteration)
@@ -175,11 +170,5 @@ class VectorizedBackend(KernelBackend):
     # -------------------------------------------------------- preconditioners
 
     def precond_apply(self, precond, r, out) -> None:
-        flat_apply = precond.flat_apply
-        if flat_apply is None:
-            # Operators without a fused form (e.g. per-block triangular
-            # solves) run the identical per-rank reference path.
-            _LOOPED.precond_apply(precond, r, out)
-            return
         r.cluster.charge_compute(precond.charge_profile())
-        flat_apply(r.data, out.data)
+        precond.flat_apply(r.data, out.data)

@@ -19,7 +19,7 @@ The paper treats the preconditioner as a linear operator ``P`` with
 from __future__ import annotations
 
 import abc
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -104,16 +104,6 @@ class BlockDiagonalPreconditioner(Preconditioner):
 
     supports_reconstruction = True
 
-    #: ``flat_apply(values, out)``: the fused in-place ``out[:] = P @ values``
-    #: on the full flat vector, or ``None`` for an action with no fused
-    #: form.  Subclasses whose action is one fused operation (a stacked
-    #: block-diagonal matvec, a diagonal scale) define it as a method; its
-    #: result must be bit-identical to concatenating the per-rank
-    #: :meth:`_apply_local` outputs, and ``out`` never shares ``values``'
-    #: storage.  ``None`` tells every backend, before it charges anything,
-    #: to use the per-rank reference path.
-    flat_apply: Callable[[np.ndarray, np.ndarray], None] | None = None
-
     @abc.abstractmethod
     def _apply_local(self, rank: int, values: np.ndarray) -> np.ndarray: ...
 
@@ -125,14 +115,22 @@ class BlockDiagonalPreconditioner(Preconditioner):
         """Flops of one local application (for clock charging)."""
 
     def apply(self, r: DistributedVector, out: DistributedVector) -> None:
-        """``out = P r``, executed by the cluster's kernel backend.
-
-        The ``looped`` backend applies :meth:`_apply_local` node by
-        node; the ``vectorized`` backend uses :attr:`flat_apply` when
-        the subclass provides one (falling back to the per-rank path
-        otherwise).  Billing is identical either way.
-        """
+        """``out = P r``, executed by the cluster's kernel backend."""
         self.matrix.cluster.kernels.precond_apply(self, r, out)
+
+    def flat_apply(self, values: np.ndarray, out: np.ndarray) -> None:
+        """``out[:] = P @ values`` on the full flat vector (unbilled).
+
+        Writes :meth:`_apply_local` of each rank's slice into the same
+        slice of ``out``.  Subclasses whose action is one fused
+        operation (a stacked block-diagonal matvec, a diagonal scale)
+        override it; an override must be bit-identical to this per-rank
+        form.  ``out`` never shares ``values``' storage.
+        """
+        partition = self.matrix.partition
+        for rank in range(partition.n_nodes):
+            lo, hi = partition.bounds(rank)
+            out[lo:hi] = self._apply_local(rank, values[lo:hi])
 
     def charge_profile(self) -> tuple[tuple[int, float], ...]:
         """Cached ``(rank, flops)`` bill of one application (rank ascending)."""

@@ -452,7 +452,8 @@ class QueueStore:
 
     @property
     def spec_dict(self) -> dict[str, Any]:
-        return dict(self._payload()["spec"])
+        """The spec in canonical form (older queues stored retired keys)."""
+        return self.spec.to_dict()
 
     @property
     def spec(self) -> CampaignSpec:

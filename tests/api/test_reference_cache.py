@@ -86,11 +86,21 @@ def test_corrupt_cache_entry_recomputes(problem, tmp_path):
 
 
 def test_backends_share_cache_entries(problem, tmp_path):
-    """Bit-identical backends may share one spooled trajectory."""
-    _session(problem, tmp_path, backend="looped").reference()
-    vectorized = _session(problem, tmp_path, backend="vectorized")
-    vectorized.reference()
-    assert vectorized.setup_events["reference_disk"] == 1
+    """A plugin backend (e.g. a timing wrapper) reads the default's spool."""
+    from repro.api.registry import KERNELS
+    from repro.kernels import VectorizedBackend
+
+    @repro.register_backend("cache_test_backend")
+    class _Timing(VectorizedBackend):
+        name = "cache_test_backend"
+
+    try:
+        _session(problem, tmp_path).reference()
+        plugin = _session(problem, tmp_path, backend="cache_test_backend")
+        plugin.reference()
+    finally:
+        KERNELS.unregister("cache_test_backend")
+    assert plugin.setup_events["reference_disk"] == 1
     assert len(list(tmp_path.glob("reference-*.npz"))) == 1
 
 

@@ -1,23 +1,26 @@
-"""The backend column: spec sweeps, record round-trips, A/B comparisons."""
+"""The retired backend column: stored specs and records keep loading.
+
+Campaigns once swept kernel backends (``CampaignSpec.backends``) and
+stored a ``backend`` column per record.  One backend remains, so the
+axis is gone; files written while it existed still load, and a stored
+spec that asks for any other backend fails loudly.
+"""
 
 from __future__ import annotations
-
-import dataclasses
 
 import pytest
 
 from repro.campaign import (
-    CampaignResult,
     CampaignRunRecord,
     CampaignSpec,
     ScenarioSpec,
     execute_campaign,
 )
-from repro.campaign.spec import StrategySpec, demo_spec, expand_spec
+from repro.campaign.spec import StrategySpec, derive_seed, expand_spec
 from repro.exceptions import ConfigurationError
 
 
-def _ab_spec() -> CampaignSpec:
+def _spec() -> CampaignSpec:
     return CampaignSpec(
         name="ab",
         problems=(("emilia_923_like", "tiny"),),
@@ -25,52 +28,30 @@ def _ab_spec() -> CampaignSpec:
         strategies=(StrategySpec("esr"),),
         phis=(1,),
         scenarios=(ScenarioSpec.make("worst_case", location="start"),),
-        backends=("looped", "vectorized"),
     )
 
 
 def test_spec_backends_round_trip():
-    spec = _ab_spec()
-    restored = CampaignSpec.from_dict(spec.to_dict())
-    assert restored.backends == ("looped", "vectorized")
-    assert restored == spec
+    spec = _spec()
+    assert "backends" not in spec.to_dict()
+    stored = {**spec.to_dict(), "backends": ["vectorized"]}
+    assert CampaignSpec.from_dict(stored) == spec
 
 
 def test_spec_requires_a_backend():
-    with pytest.raises(ConfigurationError):
-        dataclasses.replace(demo_spec(), backends=())
-
-
-def test_expansion_sweeps_backends_with_shared_seeds():
-    runs = expand_spec(_ab_spec())
-    assert len(runs) == 2
-    by_backend = {run.backend: run for run in runs}
-    assert set(by_backend) == {"looped", "vectorized"}
-    # Distinct run ids, same derived seed: the A/B pair sees the same
-    # noise stream, so backend comparisons are bit-for-bit.
-    assert by_backend["looped"].run_id != by_backend["vectorized"].run_id
-    assert by_backend["looped"].seed == by_backend["vectorized"].seed
-    assert by_backend["looped"].run_id.endswith(":looped")
+    for backends in ([], ["looped", "vectorized"], ["looped"]):
+        stored = {**_spec().to_dict(), "backends": backends}
+        with pytest.raises(ConfigurationError, match="vectorized"):
+            CampaignSpec.from_dict(stored)
 
 
 def test_default_backend_keeps_historical_run_ids():
-    (run,) = expand_spec(dataclasses.replace(_ab_spec(), backends=("vectorized",)))
-    assert ":vectorized" not in run.run_id
-    assert run.run_id.endswith(":rep0")
-
-
-def test_record_round_trip_keeps_backend(tmp_path):
-    spec = _ab_spec()
-    result = execute_campaign(spec, workers=0)
-    assert sorted(r.backend for r in result) == ["looped", "vectorized"]
-
-    json_path = result.to_json(tmp_path / "ab.json")
-    restored = CampaignResult.from_json(json_path)
-    assert sorted(r.backend for r in restored) == ["looped", "vectorized"]
-
-    csv_path = result.to_csv(tmp_path / "ab.csv")
-    from_csv = CampaignResult.from_csv(csv_path)
-    assert sorted(r.backend for r in from_csv) == ["looped", "vectorized"]
+    spec = _spec()
+    (run,) = expand_spec(spec)
+    assert run.run_id == (
+        "emilia_923_like:tiny:n4:block_jacobi:esr:T1:phi1:worst_case(location=start):rep0"
+    )
+    assert run.seed == derive_seed(spec.seed, run.run_id)
 
 
 def test_legacy_records_load_with_default_backend():
@@ -85,38 +66,24 @@ def test_legacy_records_load_with_default_backend():
         "total_overhead": 0.0, "recovery_overhead": 0.0, "n_failures": 0,
         "failure_iterations": (), "solution_error": 0.0,
     }
-    record = CampaignRunRecord.from_dict(payload)
-    assert record.backend == "vectorized"
-
-
-def test_ab_campaign_backends_agree_cell_by_cell():
-    result = execute_campaign(_ab_spec(), workers=0)
-    rows = {row["backend"]: row for row in result.overhead_rows()}
-    assert rows["looped"]["total_overhead"] == rows["vectorized"]["total_overhead"]
-    assert (
-        rows["looped"]["recovery_overhead"] == rows["vectorized"]["recovery_overhead"]
-    )
+    for backend in (None, "vectorized", "looped"):
+        stored = payload if backend is None else {**payload, "backend": backend}
+        record = CampaignRunRecord.from_dict(stored)
+        assert "backend" not in record.to_dict()
+        assert record == CampaignRunRecord.from_dict(payload)
 
 
 def test_compare_communication_deltas():
-    result = execute_campaign(_ab_spec(), workers=0)
+    result = execute_campaign(_spec(), workers=0)
     rows = result.compare_communication(result)
     assert rows
     channels = {row["channel"] for row in rows}
     assert "spmv_halo" in channels
     for row in rows:
+        assert "backend" not in row
         assert row["delta_bytes"] == 0
         assert row["delta_messages"] == 0
         assert row["rel_bytes"] == 0 or row["rel_bytes"] is None
-    # Rendered A/B report mentions the channels and backend labels.
     text = result.render_communication_comparison(result)
     assert "spmv_halo" in text
-    assert "[looped]" in text and "[vectorized]" in text
-
-
-def test_overhead_comparison_matches_on_backend():
-    result = execute_campaign(_ab_spec(), workers=0)
-    rows = result.compare(result)
-    assert {row["backend"] for row in rows} == {"looped", "vectorized"}
-    for row in rows:
-        assert row["delta_total_overhead"] == 0
+    assert "[vectorized]" not in text

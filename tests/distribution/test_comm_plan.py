@@ -53,9 +53,20 @@ class TestPlanCorrectness:
         expected = matrix @ x
         for rank in range(3):
             lo, hi = partition.bounds(rank)
+            # Compress the row block's columns to [own | ghosts]: the
+            # ghost list must cover every off-block column it reads.
             ghosts = plan.ghost_globals[rank]
+            col_map = np.full(30, -1)
+            col_map[lo:hi] = np.arange(hi - lo)
+            col_map[ghosts] = hi - lo + np.arange(ghosts.size)
+            block = sp.csr_matrix(matrix)[lo:hi, :]
+            assert np.all(col_map[block.indices] >= 0)
+            local = sp.csr_matrix(
+                (block.data, col_map[block.indices], block.indptr),
+                shape=(hi - lo, hi - lo + ghosts.size),
+            )
             local_x = np.concatenate([x[lo:hi], x[ghosts]])
-            assert np.allclose(plan.local_matrices[rank] @ local_x, expected[lo:hi])
+            assert np.allclose(local @ local_x, expected[lo:hi])
 
     def test_tridiagonal_only_neighbours_communicate(self):
         matrix = poisson_1d(16)

@@ -62,7 +62,7 @@ class TestCorrectness:
         with pytest.raises(ConfigurationError):
             SpMVExecutor(dmatrix).multiply(bad)
 
-    @pytest.mark.parametrize("backend", ["looped", "vectorized"])
+    @pytest.mark.parametrize("backend", ["vectorized"])
     def test_output_sharing_the_input_rejected(self, small_spd, backend):
         # The product writes ``out`` while it still reads ``x``.
         cluster, partition, dmatrix = make_distributed(small_spd, 4)

@@ -85,14 +85,6 @@ class TestArithmetic:
         va.assign(vb, charge=False)
         assert np.allclose(va.to_global(), b)
 
-    def test_apply_blockwise(self):
-        _, _, a, _, va, _ = setup_pair()
-        va.apply_blockwise(lambda rank, block: block * (rank + 1))
-        expected = np.concatenate(
-            [a[3 * r : 3 * r + 3] * (r + 1) for r in range(4)]
-        )
-        assert np.allclose(va.to_global(), expected)
-
     def test_incompatible_partitions_rejected(self):
         cluster = VirtualCluster(2, cost_model=zero_cost_model())
         p1 = BlockRowPartition.uniform(4, 2)
@@ -152,11 +144,6 @@ class TestFailureIntegration:
         z = DistributedVector.zeros_like(va)
         assert z.n == va.n
         assert np.all(z.to_global() == 0.0)
-
-    def test_set_block_validates_shape(self):
-        _, _, _, _, va, _ = setup_pair()
-        with pytest.raises(ConfigurationError):
-            va.set_block(0, np.zeros(99))
 
     def test_matrix_fixture_helper(self, small_spd):
         cluster, partition, dmatrix = make_distributed(small_spd, 4)

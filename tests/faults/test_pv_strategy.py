@@ -108,19 +108,6 @@ class TestDeterminism:
         assert runs[0].stats == runs[1].stats
         assert runs[0].executed_iterations == runs[1].executed_iterations
 
-    def test_corruption_is_backend_invariant(self, problem):
-        matrix, b, _ = problem
-        results = {}
-        for backend in ("looped", "vectorized"):
-            results[backend] = repro.solve(
-                matrix, b, n_nodes=N_NODES, strategy="pv", T=10, phi=1,
-                failures=corruption(12), backend=backend, seed=5,
-            )
-        np.testing.assert_array_equal(
-            results["looped"].x, results["vectorized"].x
-        )
-        assert results["looped"].stats == results["vectorized"].stats
-
 
 class TestNodeFailureFallback:
     def test_pv_survives_fail_stop_via_restart(self, problem):

@@ -2,8 +2,8 @@
 
 :func:`repro.kernels.base.flat_dot` fixes the association of every sum
 in the engine by the vector length alone.  These tests pin its
-definition, that both backends return exactly its values while billing
-per rank as before, and the property it buys: with a node-independent
+definition, that the backend returns exactly its values while billing
+per rank, and the property it buys: with a node-independent
 preconditioner, a solve's bits no longer depend on the node count.
 """
 
@@ -21,7 +21,7 @@ from repro.kernels.base import REDUCTION_CHUNK, flat_dot
 from repro.matrices import load
 from repro.preconditioners import make_preconditioner
 
-BACKENDS = ("looped", "vectorized")
+BACKENDS = ("vectorized",)
 COSTED = CostModel(alpha=1e-6, beta=1e-9, gamma=1e-9, mu=1e-11)
 NOISY = CostModel(alpha=1e-6, beta=1e-9, gamma=1e-9, mu=1e-11, noise=0.1)
 #: Crosses two chunk boundaries, with a short last chunk.

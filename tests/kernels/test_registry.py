@@ -2,9 +2,8 @@
 
 Selection ergonomics live here: the error message for an unknown
 backend, alphabetical stability of :func:`available_backends`, and the
-names of the removed ``compiled`` backend failing loudly.  Bit-identity
-of the backends themselves is covered by ``test_backends.py`` and the
-equivalence property suite.
+names of removed backends failing loudly.  The numerics of the
+built-in backend are pinned by ``tests/properties/test_oracle.py``.
 """
 
 from __future__ import annotations
@@ -31,17 +30,18 @@ def test_unknown_backend_error_lists_available_names():
 
 def test_available_backends_is_sorted():
     names = available_backends()
-    assert "looped" in names
     assert "vectorized" in names
     # Alphabetical, so docs / error messages / CLI help stay stable as
     # plugins register more backends.
     assert list(names) == sorted(names)
 
 
-@pytest.mark.parametrize("name", ["compiled", "jit", "numba"])
+@pytest.mark.parametrize(
+    "name", ["compiled", "jit", "numba", "looped", "reference_loops", "fused", "flat"]
+)
 def test_removed_backend_names_raise_listing_builtins(name):
     with pytest.raises(ConfigurationError) as excinfo:
         resolve_backend(name)
     message = str(excinfo.value)
     assert repr(name) in message
-    assert "looped, vectorized" in message
+    assert "vectorized" in message

@@ -399,7 +399,7 @@ class TestRunSpecConfigKey:
     def test_config_key_is_the_session_defining_prefix(self):
         runs = expand_spec(multi_config_spec())
         for run in runs:
-            assert run.seed_key.startswith(run.config_key + ":")
+            assert run.run_id.startswith(run.config_key + ":")
             assert run.config_key == (
                 f"{run.problem}:{run.scale}:n{run.n_nodes}:{run.preconditioner}"
             )
