@@ -26,6 +26,45 @@ Every expensive setup step increments :attr:`SolverSession.setup_events`
 inspect to verify that reuse actually reuses;
 :attr:`SolverSession.setup_seconds` holds the host time the matrix,
 preconditioner and reference stages took.
+
+Replay
+------
+
+Some solves provably run the reference trajectory: the same iterates
+and reductions, only more bills.  These are failure-free ``reference``,
+``esr``, ``esrp`` and ``imcr`` solves, and ``imcr`` solves under
+fail-stop failures (a rollback or a restart re-runs iterations of the
+same trajectory).  The reference solve keeps the reductions it read
+(:attr:`~repro.solvers.engine.PCGEngine.reductions`; they are spooled
+with it).  A request is replayed when all of these hold:
+
+* the built strategy's exact class is one of those four, so aliases
+  (``cr``, ``pcg``) count and subclasses (``lossy_imcr``) do not;
+* it has no ``x0``;
+* it has no fault events, or it is ``imcr`` and all of them are plain
+  ``node_failure`` events;
+* the reference for its (preconditioner, rtol) is already cached here.
+  ``with_reference=True`` caches it first, but a cold solve never
+  computes one just to replay.
+
+A cached reference has converged: a session solve that runs out of
+budget raises :class:`~repro.exceptions.ConvergenceError`, so a
+reference computed under a short ``maxiter`` is never cached.  A
+replayed solve thus converges at the reference's iteration C and never
+reads past it, whatever its own budget; one whose budget runs out
+first raises the same error its real solve raises.
+
+A replayed request runs the unchanged engine loop on a per-solve
+:class:`~repro.kernels.replay.ReplayBackend`.  That twin of
+``vectorized`` makes the same bills in the same order but skips the
+arithmetic, and its reductions answer from the recording.  Clocks,
+statistics, noise draws, events, residual history and iteration counts
+are the real solve's.  The report's ``x`` is a private copy of the
+reference's, ``backend`` still reads ``vectorized``, and
+``result.replayed_iterations`` says how many loop bodies were
+replayed.  Each request replays its bills in full; no report is
+memoised.  A solve on any other backend runs for real, because a
+plugin (a timing wrapper, say) must see the real kernels.
 """
 
 from __future__ import annotations
@@ -48,6 +87,8 @@ from ..distribution.matrix import DistributedMatrix
 from ..distribution.partition import BlockRowPartition
 from ..exceptions import ConfigurationError
 from ..kernels.base import REDUCTION_CHUNK, flat_dot
+from ..kernels.replay import ReplayBackend
+from ..kernels.vectorized import VectorizedBackend
 from .registry import KERNELS
 from .request import SolveReport, SolveRequest
 
@@ -69,6 +110,9 @@ class ReferenceTrajectory:
     C: int
     #: The converged solution (exact-reconstruction comparisons).
     x: np.ndarray = dataclasses.field(repr=False, compare=False)
+    #: The reductions of the solve, in call order: b·b, r₀·z₀, then
+    #: (p·Ap, r·z, r·r) per iteration (:mod:`repro.kernels.replay`).
+    scalars: np.ndarray = dataclasses.field(repr=False, compare=False)
 
     @property
     def x_norm(self) -> float:
@@ -298,7 +342,15 @@ class SolverSession:
     # ---------------------------------------------------------------- solving
 
     def _execute(self, request: SolveRequest, x0: np.ndarray | None = None):
-        """Run one engine against the shared infrastructure."""
+        """Run one engine against the shared infrastructure.
+
+        Returns the result and the reductions the engine read
+        (:attr:`~repro.solvers.engine.PCGEngine.reductions`).  A solve
+        that would run on ``vectorized`` runs on a :class:`ReplayBackend`
+        instead when :meth:`_replay_source` finds its trajectory cached.
+        The engine never leaves this method, so the state vectors a
+        replay never computed are not handed out.
+        """
         from ..core.strategies import make_strategy
         from ..solvers.engine import PCGEngine, SolveOptions
 
@@ -335,11 +387,55 @@ class SolverSession:
             failures=request.schedule(),
         )
         self.setup_events["solve"] += 1
+        source = None
+        if type(self.cluster.kernels) is VectorizedBackend:
+            source = self._replay_source(request, strategy, x0)
+        if source is not None:
+            if restore_backend is None:
+                restore_backend = self.cluster.kernels
+            self.cluster.kernels = ReplayBackend(source.scalars)
         try:
-            return engine.solve(x0=x0)
+            result = engine.solve(x0=x0)
         finally:
             if restore_backend is not None:
                 self.cluster.kernels = restore_backend
+            # Unbind, so the engine and its state vectors are freed on
+            # return rather than at the next cyclic collection, which a
+            # replayed solve, allocating few objects, triggers rarely.
+            strategy.engine = None
+        if source is not None:
+            # x was never computed: hand out a private copy of the
+            # reference's bits.
+            result.x = source.x.copy()
+            result.replayed_iterations = result.executed_iterations
+        return result, engine.reductions
+
+    def _replay_source(
+        self, request: SolveRequest, strategy, x0: np.ndarray | None
+    ) -> ReferenceTrajectory | None:
+        """The cached trajectory ``request`` provably runs, if any.
+
+        See "Replay" in the module docstring.  ``strategy`` is the built
+        one: its exact class decides, so aliases count and subclasses
+        (``lossy_imcr``) do not.
+        """
+        from ..cluster.failures import FailureEvent
+        from ..core.esr import ESRStrategy
+        from ..core.esrp import ESRPStrategy
+        from ..core.imcr import IMCRStrategy
+        from ..solvers.engine import NoResilience
+
+        kind = type(strategy)
+        if x0 is not None or kind not in (
+            NoResilience, ESRStrategy, ESRPStrategy, IMCRStrategy
+        ):
+            return None
+        if request.failures and not (
+            kind is IMCRStrategy
+            and all(type(event) is FailureEvent for event in request.failures)
+        ):
+            return None
+        return self._references.get((request.precond_key, request.rtol))
 
     def reference(
         self,
@@ -381,9 +477,12 @@ class SolverSession:
             )
             self._preconditioner_for(ref_request)  # its own stage, not the solve's
             start = time.perf_counter()
-            result = self._execute(ref_request)
+            result, reductions = self._execute(ref_request)
             trajectory = ReferenceTrajectory(
-                t0=result.modeled_time, C=result.iterations, x=result.x
+                t0=result.modeled_time,
+                C=result.iterations,
+                x=result.x,
+                scalars=np.array(reductions),
             )
             self._record_setup("reference", start)
             self._store_reference_to_disk(request, trajectory)
@@ -443,9 +542,13 @@ class SolverSession:
                     t0=float(payload["t0"]),
                     C=int(payload["C"]),
                     x=np.asarray(payload["x"], dtype=np.float64),
+                    scalars=np.asarray(payload["scalars"], dtype=np.float64),
                 )
         except (OSError, KeyError, ValueError):
-            # Missing, corrupt or truncated spool entry: recompute.
+            # Missing, corrupt or truncated spool entry, or one spooled
+            # without its reductions: recompute (and rewrite it).
+            return None
+        if trajectory.scalars.shape != (2 + 3 * trajectory.C,):
             return None
         self.setup_events["reference_disk"] += 1
         return trajectory
@@ -471,6 +574,7 @@ class SolverSession:
                         t0=np.float64(trajectory.t0),
                         C=np.int64(trajectory.C),
                         x=trajectory.x,
+                        scalars=trajectory.scalars,
                     )
                 os.replace(tmp_name, path)
             except BaseException:
@@ -525,7 +629,7 @@ class SolverSession:
         reference = None
         if with_reference:
             reference = self._reference_for(request)
-        result = self._execute(request, x0=x0)
+        result, _ = self._execute(request, x0=x0)
         self._last_x = result.x
         return self._report(request, result, reference)
 

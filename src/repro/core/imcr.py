@@ -135,6 +135,15 @@ class IMCRStrategy(ResilienceStrategy):
 
         cluster = engine.cluster
         survivors = [r for r in range(engine.partition.n_nodes) if r not in event.ranks]
+        # A rank an earlier fallback restart left without its copy of the
+        # checkpoint cannot roll back to it.
+        for rank in survivors:
+            if cluster.node(rank).scalars.get(CKPT_ITERATION) != float(target):
+                resume = fallback_restart(
+                    engine, state, j, f"rank {rank} holds no copy of the checkpoint"
+                )
+                end_recovery(engine, j, resume, strategy=self.name)
+                return resume
 
         # Replacements retrieve the checkpoint from a surviving buddy.
         for rank in event.ranks:

@@ -20,6 +20,11 @@ analytically as whole-vector adds.  Every dot product is
 vectors, summed in ascending order — one association for every node
 count and every BLAS thread count.
 
+:mod:`repro.kernels.replay` holds an unregistered per-solve twin of
+it that a :class:`~repro.api.session.SolverSession` uses to replay a
+solve that stays on a cached reference trajectory: it makes the
+solve's bills without its arithmetic.
+
 What pins it (full statement in :mod:`repro.kernels.base`):
 
 * **numerics** — ``tests/oracle.py``, a serial textbook PCG over one

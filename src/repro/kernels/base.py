@@ -98,6 +98,18 @@ class KernelBackend(abc.ABC):
     #: Registered name (set by the built-ins; plugins should set it too).
     name: str = "abstract"
 
+    # ------------------------------------------------------------ engine hook
+
+    def enter_iteration(self, j: int, state) -> None:
+        """The engine's ``state`` now holds the start of iteration ``j``.
+
+        Announced when a solve initialises its state, at the top of
+        every iteration and after a recovery (``j`` is then the
+        iteration it resumes at).  A no-op here; the bill-only replay
+        twin (:mod:`repro.kernels.replay`) indexes its recorded
+        reductions by it.
+        """
+
     # ------------------------------------------------------- vector arithmetic
 
     @abc.abstractmethod

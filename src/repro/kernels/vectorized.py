@@ -152,12 +152,8 @@ class VectorizedBackend(KernelBackend):
         nodes = cluster.nodes
         for node in nodes:
             node.redundancy.pop(iteration, None)
-        packed = x.data[cache.stash_gather]
-        for dst, group in cache.stashes:
-            nodes[dst].redundancy[iteration] = {
-                owner: (indices, packed[start:stop])
-                for owner, indices, start, stop in group
-            }
+        for dst, stash in self._stashes(cache, x.data):
+            nodes[dst].redundancy[iteration] = stash
 
         evicted = queue.push(iteration)
         if evicted is not None:
@@ -166,6 +162,17 @@ class VectorizedBackend(KernelBackend):
                     node.drop_redundant(evicted)
 
         self.spmv_local(executor, x, out)
+
+    def _stashes(self, cache, values: np.ndarray) -> list:
+        """``(recipient, {owner: (indices, values)})`` pairs of one ASpMV."""
+        packed = values[cache.stash_gather]
+        return [
+            (dst, {
+                owner: (indices, packed[start:stop])
+                for owner, indices, start, stop in group
+            })
+            for dst, group in cache.stashes
+        ]
 
     # -------------------------------------------------------- preconditioners
 

@@ -22,7 +22,9 @@ the :class:`~repro.api.request.SolveRequest` to run against it; a
 
 Wall-clock timing and pool metadata ride *outside* the digest (the
 ``timing`` / ``pool`` keys): they describe this particular execution,
-not the answer.
+not the answer.  So does ``timing.replayed_iterations``: a warm slot
+replays eligible requests from its cached reference (see "Replay" in
+:mod:`repro.api.session`), and the stamped reply is the same either way.
 """
 
 from __future__ import annotations
@@ -268,6 +270,7 @@ class SolverService:
             response["timing"] = {
                 "wall_time": report.wall_time,
                 "service_seconds": perf_counter() - started,
+                "replayed_iterations": report.result.replayed_iterations,
             }
             self.served += 1
             return response

@@ -27,6 +27,7 @@ from __future__ import annotations
 import abc
 import dataclasses
 import time
+from array import array
 from typing import Any
 
 import numpy as np
@@ -103,6 +104,11 @@ class SolveResult:
     strategy: str
     #: Name of the compute-kernel backend that executed the numerics.
     backend: str = ""
+    #: Loop bodies whose arithmetic was replayed from a cached reference
+    #: (:mod:`repro.kernels.replay`) rather than computed; 0 for a real
+    #: solve.  Host-side provenance like ``wall_time``: in no report
+    #: dict, digest or record.
+    replayed_iterations: int = 0
 
     @property
     def wasted_iterations(self) -> int:
@@ -203,6 +209,13 @@ class PCGEngine:
         self.log = EventLog()
         #: The state object of the most recent solve (for warm hand-off).
         self.final_state: PCGState | None = None
+        #: Every reduction value the most recent solve read, in call
+        #: order: b·b and r·z at each state set-up, r·z after each
+        #: recovery, and p·Ap, r·z, r·r per iteration.  A failure-free
+        #: solve from x₀ = 0 reads b·b, r₀·z₀, then (p·Ap, r·z, r·r) per
+        #: iteration: what a cached reference replays
+        #: (:mod:`repro.kernels.replay`).  Packed doubles, 8 B each.
+        self.reductions = array("d")
 
         if isinstance(b, DistributedVector):
             if b.partition != self.partition:
@@ -239,10 +252,17 @@ class PCGEngine:
         p.assign(z, charge=False)
 
         state = PCGState(x=x, r=r, z=z, p=p, rho=rho)
-        state.b_norm = self.b.norm2()
-        state.rz = r.dot(z)
+        cluster.kernels.enter_iteration(0, state)
+        self._initial_reductions(state)
         state.beta = None
         return state
+
+    def _initial_reductions(self, state: PCGState) -> None:
+        """‖b‖ (from b·b, as ``b.norm2()`` computes it) and r·z."""
+        b_dot_b = self.b.dot(self.b)
+        state.b_norm = float(np.sqrt(max(b_dot_b, 0.0)))
+        state.rz = state.r.dot(state.z)
+        self.reductions.extend((b_dot_b, state.rz))
 
     def reinitialize_state(self, state: PCGState) -> None:
         """Full restart from the zero initial guess (fallback recovery)."""
@@ -258,6 +278,7 @@ class PCGEngine:
     def recompute_rz(self, state: PCGState) -> None:
         """Refresh r·z after a recovery (one fused allreduce)."""
         state.rz = state.r.dot(state.z)
+        self.reductions.append(state.rz)
 
     def state_from_warm(self, warm: WarmState) -> PCGState:
         """Scatter a :class:`WarmState` into distributed state vectors."""
@@ -269,8 +290,8 @@ class PCGEngine:
             p=DistributedVector.from_global(cluster, partition, warm.p),
             rho=DistributedVector(cluster, partition),
         )
-        state.b_norm = self.b.norm2()
-        state.rz = state.r.dot(state.z)
+        cluster.kernels.enter_iteration(warm.start_iteration, state)
+        self._initial_reductions(state)
         state.beta = warm.beta
         return state
 
@@ -284,6 +305,7 @@ class PCGEngine:
         options = self.options
         budget = options.budget(self.partition.n)
         self.failures.reset()
+        self.reductions = array("d")
 
         self.log.record(
             EventKind.SOLVE_START,
@@ -308,6 +330,7 @@ class PCGEngine:
         relative = float("inf")
 
         while executed < budget:
+            self.cluster.kernels.enter_iteration(j, state)
             # --- SpMV phase (strategy may store redundant data) -------------
             self.strategy.spmv(j, state)
 
@@ -316,6 +339,7 @@ class PCGEngine:
             if event is not None:
                 self._inject_failure(j, event)
                 resume = self.strategy.recover(j, event, state)
+                self.cluster.kernels.enter_iteration(resume, state)
                 self.recompute_rz(state)
                 self.cluster.record_fault("rollback")
                 self.log.record(
@@ -357,6 +381,7 @@ class PCGEngine:
             )
             state.rz = rz_new
             state.beta = beta
+            self.reductions.extend((pap, rz_new, r_norm_sq))
 
             self.strategy.post_iteration(j, state)
 

@@ -156,3 +156,38 @@ def test_entries_spooled_under_another_reduction_are_recomputed(
     assert current.setup_events["reference_disk"] == 0
     assert current.setup_events["reference"] == 1
     assert len(list(tmp_path.glob("reference-*.npz"))) == 2
+
+
+def test_entries_spooled_without_reductions_are_recomputed_not_replayed(
+    problem, tmp_path
+):
+    """An entry from before reductions were spooled holds t0, C and x only."""
+    matrix, b = problem
+    truth = repro.SolverSession(matrix, b, n_nodes=4).reference()
+    writer = _session(problem, tmp_path)
+    path = writer._reference_path(repro.SolveRequest(strategy="reference"))
+    tmp_path.mkdir(exist_ok=True)
+    np.savez(path, t0=np.float64(truth.t0), C=np.int64(truth.C), x=truth.x)
+
+    session = _session(problem, tmp_path)
+    trajectory = session.reference()
+    assert session.setup_events["reference_disk"] == 0
+    assert session.setup_events["reference"] == 1
+    assert trajectory.scalars.shape == (2 + 3 * truth.C,)
+    with np.load(path) as payload:
+        np.testing.assert_array_equal(payload["scalars"], trajectory.scalars)
+    report = session.solve(repro.SolveRequest(strategy="esrp", T=5))
+    assert report.result.replayed_iterations == report.executed_iterations
+
+
+def test_entries_with_truncated_reductions_are_recomputed(problem, tmp_path):
+    first = _session(problem, tmp_path)
+    trajectory = first.reference()
+    (entry,) = tmp_path.glob("reference-*.npz")
+    np.savez(entry, t0=np.float64(trajectory.t0), C=np.int64(trajectory.C),
+             x=trajectory.x, scalars=trajectory.scalars[:-3])
+
+    second = _session(problem, tmp_path)
+    second.reference()
+    assert second.setup_events["reference_disk"] == 0
+    assert second.setup_events["reference"] == 1

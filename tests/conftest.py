@@ -5,10 +5,42 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import is_hypothesis_test, settings
 
 from repro.cluster import CostModel, VirtualCluster, zero_cost_model
 from repro.distribution import BlockRowPartition, DistributedMatrix, DistributedVector
 from repro.matrices import poisson_1d, poisson_2d, random_banded_spd
+
+#: Example-count multiplier of the ``ci`` Hypothesis profile.  Tier-1
+#: runs every property at the count its test states; CI's deep step
+#: (``pytest --hypothesis-profile=ci``) runs the replay and oracle
+#: properties at this many times that count.
+CI_EXAMPLE_SCALE = 5
+settings.register_profile("ci", deadline=None)
+
+
+def pytest_collection_modifyitems(config, items):
+    """Under the ``ci`` profile, scale each property's stated example count."""
+    if settings.get_current_profile_name() != "ci":
+        return
+    # A test's own @settings beat any profile, so the settings Hypothesis
+    # attached to each test are replaced, not the profile's defaults.
+    # Hypothesis keeps them in a private attribute: if that ever moves,
+    # stop rather than run the deep step at the tier-1 counts.
+    scaled = set()
+    for item in items:
+        test = getattr(item, "function", None)
+        if test is None or not is_hypothesis_test(test) or test in scaled:
+            continue  # a parametrized property is scaled once, not per case
+        stated = getattr(test, "_hypothesis_internal_use_settings", None)
+        if stated is None:
+            raise pytest.UsageError(
+                f"cannot find the Hypothesis settings of {item.nodeid} to scale"
+            )
+        test._hypothesis_internal_use_settings = settings(
+            stated, max_examples=stated.max_examples * CI_EXAMPLE_SCALE
+        )
+        scaled.add(test)
 
 
 @pytest.fixture

@@ -205,6 +205,17 @@ class TestIMCR:
         assert result.converged
         assert result.events.first(EventKind.RESTART) is not None
 
+    def test_rollback_after_a_buddyless_restart_restarts_again(self, problem, reference):
+        # Rank 1 dies and loses its buddy copy of rank 0; rank 0 then dies
+        # with no buddy copy left, so the solve restarts and rank 0's
+        # replacement holds no checkpoint.  A later failure must not
+        # roll back to the checkpoint rank 0 no longer has.
+        failures = [FailureEvent(10, (1,)), FailureEvent(11, (0,)), FailureEvent(12, (2,))]
+        result = run(problem, IMCRStrategy(T=10, phi=1), failures)
+        assert len(result.events.of_kind(EventKind.RESTART)) == 2
+        assert result.iterations == reference.iterations
+        assert np.array_equal(result.x, reference.x)
+
     def test_works_with_polynomial_preconditioner(self, problem):
         result = run(
             problem,

@@ -178,6 +178,17 @@ class TestStamps:
         reply["report"]["iterations"] += 1
         assert not verify_response(reply)
 
+    def test_replayed_and_real_replies_share_one_digest(self):
+        real = SolverService(pool_size=1).solve(serve_request(strategy="imcr"))
+        assert real["timing"]["replayed_iterations"] == 0
+
+        warm = SolverService(pool_size=1)
+        warm.solve(serve_request(strategy="imcr", with_reference=True))
+        replayed = warm.solve(serve_request(strategy="imcr"))
+        assert replayed["timing"]["replayed_iterations"] > 0
+        assert replayed["response_digest"] == real["response_digest"]
+        assert answer(replayed) == answer(real)
+
     def test_wall_time_lives_outside_the_digest(self):
         service = SolverService(pool_size=1)
         reply = service.solve(serve_request())
