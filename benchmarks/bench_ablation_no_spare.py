@@ -12,8 +12,8 @@ import numpy as np
 from conftest import is_quick, write_artifact
 
 import repro
+from repro.campaign.scenarios import place_worst_case_failure
 from repro.core.no_spare import solve_without_spares
-from repro.harness import place_worst_case_failure
 from repro.harness.calibration import BENCH_COST_MODEL
 
 N_NODES = 8

@@ -20,8 +20,8 @@ import pytest
 from conftest import is_quick, write_artifact
 
 import repro
+from repro.campaign.scenarios import place_worst_case_failure
 from repro.exceptions import ReconstructionUnsupportedError
-from repro.harness import place_worst_case_failure
 from repro.harness.calibration import BENCH_COST_MODEL
 
 PHI = 2

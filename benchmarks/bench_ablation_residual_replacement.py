@@ -18,7 +18,7 @@ from repro.cluster import FailureSchedule, VirtualCluster
 from repro.core import ESRPStrategy
 from repro.distribution import BlockRowPartition, DistributedMatrix
 from repro.harness.calibration import BENCH_COST_MODEL
-from repro.harness.metrics import drift_from_result
+from repro.solvers import drift_from_result
 from repro.preconditioners import make_preconditioner
 from repro.solvers import NoResilience, PCGEngine, SolveOptions
 from repro.solvers.residual_replacement import ResidualReplacer

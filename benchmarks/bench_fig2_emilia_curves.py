@@ -9,22 +9,19 @@ an ASCII log-scale plot plus the raw series values.
 
 from __future__ import annotations
 
-from conftest import write_artifact
+from conftest import intervals, write_artifact
 
 from repro.harness import overhead_series
 from repro.harness.figures import ascii_log_plot
 
 
-def render_figure(results, config, title_prefix):
-    intervals = tuple(t for t in config.esrp_intervals if t > 2)
+def render_figure(results, spec, title_prefix):
+    clusters = tuple(t for t in intervals(spec, "esrp") if t > 2)
     blocks = []
     for with_failures, panel in ((False, "(a) Failure-free solver"), (True, "(b) Node failures introduced")):
-        series = overhead_series(
-            results, phis=config.phis, with_failures=with_failures,
-            locations=config.locations,
-        )
+        series = overhead_series(results, phis=spec.phis, with_failures=with_failures)
         plot = ascii_log_plot(
-            series, intervals=intervals, title=f"{title_prefix} {panel}"
+            series, intervals=clusters, title=f"{title_prefix} {panel}"
         )
         rows = []
         for s in sorted(series, key=lambda s: (s.strategy, s.T)):
@@ -38,10 +35,10 @@ def render_figure(results, config, title_prefix):
 
 
 def test_fig2_emilia_overhead_curves(benchmark, emilia_grid):
-    runner, results = emilia_grid
+    spec, results = emilia_grid
 
     def regenerate():
-        return render_figure(results, runner.config, "Fig. 2 Emilia-like:")
+        return render_figure(results, spec, "Fig. 2 Emilia-like:")
 
     figure = benchmark.pedantic(regenerate, rounds=1, iterations=1)
     print("\n" + figure)
@@ -49,9 +46,9 @@ def test_fig2_emilia_overhead_curves(benchmark, emilia_grid):
 
     # Shape: in the failure-free panel the ESR line sits above every
     # ESRP line for the largest phi (paper Fig. 2a).
-    series = overhead_series(results, phis=runner.config.phis, with_failures=False)
+    series = overhead_series(results, phis=spec.phis, with_failures=False)
     esr = next(s for s in series if s.strategy == "esrp" and s.T == 1)
-    top_phi = len(runner.config.phis) - 1
+    top_phi = len(spec.phis) - 1
     for s in series:
         if s.strategy == "esrp" and s.T > 2:
             assert esr.values[top_phi] > s.values[top_phi]

@@ -12,10 +12,10 @@ from repro.harness import overhead_series
 
 
 def test_fig3_audikw_overhead_curves(benchmark, audikw_grid):
-    runner, results = audikw_grid
+    spec, results = audikw_grid
 
     def regenerate():
-        return render_figure(results, runner.config, "Fig. 3 audikw-like:")
+        return render_figure(results, spec, "Fig. 3 audikw-like:")
 
     figure = benchmark.pedantic(regenerate, rounds=1, iterations=1)
     print("\n" + figure)
@@ -23,9 +23,6 @@ def test_fig3_audikw_overhead_curves(benchmark, audikw_grid):
 
     # Shape: with failures, overheads at the largest phi exceed the
     # phi=1 ones for the ESR line (paper Fig. 3b's rising markers).
-    series = overhead_series(
-        results, phis=runner.config.phis, with_failures=True,
-        locations=runner.config.locations,
-    )
+    series = overhead_series(results, phis=spec.phis, with_failures=True)
     esr = next(s for s in series if s.strategy == "esrp" and s.T == 1)
     assert esr.values[-1] > esr.values[0]

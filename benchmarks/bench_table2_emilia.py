@@ -4,8 +4,8 @@ Regenerates the full test constellation of the paper's Table 2:
 strategies ESRP (T ∈ {1=ESR, 20, 50, 100}) and IMCR (T ∈ {20, 50,
 100}), ϕ = ψ ∈ {1, 3, 8}, contiguous block failures at ranks 0
 ("start") and N/2 ("center") placed two iterations before the end of
-the interval containing C/2, medians over repetitions with seeded
-noise.  Prints our percentages with the paper's in parentheses.
+the interval containing C/2, one noise-free run per cell.  Prints our
+percentages with the paper's in parentheses.
 
 Shape assertions (the claims that must reproduce):
 * ESR failure-free overhead ≫ ESRP failure-free overhead, for every ϕ;
@@ -17,9 +17,9 @@ Shape assertions (the claims that must reproduce):
 
 from __future__ import annotations
 
-from conftest import write_artifact
+from conftest import intervals, write_artifact
 
-from repro.harness import PAPER_TABLE2, render_overhead_table
+from repro.harness import PAPER_TABLES, render_overhead_table
 
 
 def _cell(results, strategy, T, phi):
@@ -70,26 +70,30 @@ def assert_table_shape(results, phis, esrp_intervals, imcr_intervals) -> list[st
     return notes
 
 
-def test_table2_emilia(benchmark, emilia_grid):
-    runner, results = emilia_grid
+def render_and_check(benchmark, grid, problem, title, artifact):
+    """Render one Table 2/3, check its shape, write the artefact."""
+    spec, results = grid
+    ((_, scale),) = spec.problems
 
     def regenerate():
         return render_overhead_table(
             results,
-            phis=runner.config.phis,
-            locations=runner.config.locations,
-            title="Table 2: Results for matrix Emilia_923-like "
-            f"(scale={runner.config.scale}, N={runner.config.n_nodes})",
-            paper=PAPER_TABLE2,
+            phis=spec.phis,
+            title=f"{title} (scale={scale}, N={spec.n_nodes})",
+            paper=PAPER_TABLES.get(problem),
         )
 
     table = benchmark.pedantic(regenerate, rounds=1, iterations=1)
     print("\n" + table)
     notes = assert_table_shape(
-        results,
-        runner.config.phis,
-        runner.config.esrp_intervals,
-        runner.config.imcr_intervals,
+        results, spec.phis, intervals(spec, "esrp"), intervals(spec, "imcr")
     )
     print("\nshape checks passed:\n  " + "\n  ".join(notes))
-    write_artifact("table2_emilia.txt", table)
+    write_artifact(artifact, table)
+
+
+def test_table2_emilia(benchmark, emilia_grid):
+    render_and_check(
+        benchmark, emilia_grid, "emilia_923_like",
+        "Table 2: Results for matrix Emilia_923-like", "table2_emilia.txt",
+    )

@@ -8,35 +8,14 @@ failure-free ESRP and IMCR are closer together than on Emilia.
 
 from __future__ import annotations
 
-from bench_table2_emilia import assert_table_shape
-from conftest import write_artifact
-
-from repro.harness import PAPER_TABLE3, render_overhead_table
+from bench_table2_emilia import render_and_check
 
 
 def test_table3_audikw(benchmark, audikw_grid):
-    runner, results = audikw_grid
-
-    def regenerate():
-        return render_overhead_table(
-            results,
-            phis=runner.config.phis,
-            locations=runner.config.locations,
-            title="Table 3: Results for matrix audikw_1-like "
-            f"(scale={runner.config.scale}, N={runner.config.n_nodes})",
-            paper=PAPER_TABLE3,
-        )
-
-    table = benchmark.pedantic(regenerate, rounds=1, iterations=1)
-    print("\n" + table)
-    notes = assert_table_shape(
-        results,
-        runner.config.phis,
-        runner.config.esrp_intervals,
-        runner.config.imcr_intervals,
+    render_and_check(
+        benchmark, audikw_grid, "audikw_1_like",
+        "Table 3: Results for matrix audikw_1-like", "table3_audikw.txt",
     )
-    print("\nshape checks passed:\n  " + "\n  ".join(notes))
-    write_artifact("table3_audikw.txt", table)
 
 
 def test_iteration_count_ratio_matches_paper(benchmark, emilia_grid, audikw_grid):

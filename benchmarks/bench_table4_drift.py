@@ -16,14 +16,11 @@ from repro.harness import PAPER_TABLE4, render_drift_table
 
 
 def test_table4_residual_drift(benchmark, emilia_grid, audikw_grid):
-    emilia_runner, _ = emilia_grid
-    audikw_runner, _ = audikw_grid
+    _, emilia = emilia_grid
+    _, audikw = audikw_grid
 
     def regenerate():
-        return {
-            "emilia_923_like": emilia_runner.drift_summary(),
-            "audikw_1_like": audikw_runner.drift_summary(),
-        }
+        return {"emilia_923_like": emilia["drift"], "audikw_1_like": audikw["drift"]}
 
     drift = benchmark.pedantic(regenerate, rounds=1, iterations=1)
     paper = {

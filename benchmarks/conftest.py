@@ -1,16 +1,16 @@
 """Shared fixtures for the paper-reproduction benchmarks.
 
-The expensive experiment grids (Tables 2/3) are computed once per
-session and shared by the table, drift and figure benches.  Every bench
+The expensive experiment grids (Tables 2/3) are run once per session
+as campaigns (:func:`repro.campaign.paper_table_spec` on a process
+pool) and shared by the table, drift and figure benches.  Every bench
 writes its rendered output under ``results/`` so EXPERIMENTS.md can
-reference the artefacts.
+reference the artefacts.  Cells are billed noise-free, one run each.
 
-Environment knobs (see also repro.harness.config):
+Environment knobs (see also :func:`repro.campaign.paper_table_spec`):
 
 * ``REPRO_QUICK=1``  — small problems, fewer cells (CI / iteration mode)
 * ``REPRO_SCALE``    — matrix scale tier override
 * ``REPRO_NODES``    — cluster size override
-* ``REPRO_REPS``     — repetitions per cell
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ import pathlib
 
 import pytest
 
-from repro.harness import paper_table_config
-from repro.harness.runner import ExperimentRunner
+from repro.campaign import CampaignSpec, execute_campaign, paper_table_spec
+from repro.harness import paper_table
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
 
@@ -39,18 +39,22 @@ def write_artifact(name: str, text: str) -> pathlib.Path:
     return path
 
 
+def intervals(spec: CampaignSpec, strategy: str) -> tuple[int, ...]:
+    """The checkpoint intervals ``spec`` sweeps for ``strategy``."""
+    return next(s.intervals for s in spec.strategies if s.name == strategy)
+
+
 class _GridCache:
     """Session-wide cache of full experiment grids per problem."""
 
     def __init__(self) -> None:
-        self._cache: dict[str, tuple[ExperimentRunner, dict]] = {}
+        self._cache: dict[str, tuple[CampaignSpec, dict]] = {}
 
-    def get(self, problem: str) -> tuple[ExperimentRunner, dict]:
+    def get(self, problem: str) -> tuple[CampaignSpec, dict]:
         if problem not in self._cache:
-            config = paper_table_config(problem, quick=QUICK)
-            runner = ExperimentRunner(config)
-            results = runner.run_table()
-            self._cache[problem] = (runner, results)
+            spec = paper_table_spec(problem, quick=QUICK)
+            results = paper_table(execute_campaign(spec), problem)
+            self._cache[problem] = (spec, results)
         return self._cache[problem]
 
 

@@ -14,7 +14,7 @@ Run:  python examples/heat_conduction.py
 import numpy as np
 
 import repro
-from repro.harness import place_worst_case_failure
+from repro.campaign.scenarios import place_worst_case_failure
 from repro.matrices.poisson import layered_kappa_field, variable_poisson_3d
 
 N_NODES = 8

@@ -11,8 +11,8 @@ Gradient Method"*, ICPP 2020 (DOI 10.1145/3404397.3404438):
 * resilient preconditioned CG with pluggable recovery strategies —
   ESR, ESRP (the paper's contribution), in-memory buddy CR, and
   approximate-recovery baselines (:mod:`repro.solvers`, :mod:`repro.core`),
-* the experiment harness that regenerates every table and figure of the
-  paper's evaluation (:mod:`repro.harness`),
+* the renderers that regenerate every table and figure of the paper's
+  evaluation from a campaign over its §5 grid (:mod:`repro.harness`),
 * a service-style API (:mod:`repro.api`): reusable
   :class:`~repro.api.SolverSession` objects, declarative
   :class:`~repro.api.SolveRequest`/:class:`~repro.api.SolveReport`

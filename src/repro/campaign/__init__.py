@@ -62,6 +62,9 @@ lists them).  Scenario timing is resolved *per run* against the
 reference iteration count C of that run's problem, exactly like the
 paper places its failures relative to C.
 
+The paper's own §5 grid (Tables 2 and 3) is :func:`paper_table_spec`;
+:func:`repro.harness.paper_table` lays its result out as table cells.
+
 Quickstart::
 
     from repro.campaign import demo_spec, execute_campaign
@@ -94,6 +97,7 @@ from .spec import (
     demo_spec,
     expand_spec,
     faults_spec,
+    paper_table_spec,
 )
 
 __all__ = [
@@ -110,6 +114,7 @@ __all__ = [
     "expand_spec",
     "faults_spec",
     "generate_schedule",
+    "paper_table_spec",
     "run_one",
     "scenario_kinds",
 ]

@@ -28,6 +28,7 @@ from typing import Callable, Sequence
 
 from ..api.request import SolveRequest
 from ..exceptions import ConfigurationError
+from ..solvers.residual_replacement import drift_from_result
 from .results import CampaignResult, CampaignRunRecord
 from .scenarios import ScenarioContext, generate_schedule
 from .spec import CampaignSpec, RunSpec, expand_spec
@@ -172,6 +173,7 @@ def run_one(run: RunSpec) -> CampaignRunRecord:
         failure_iterations=report.failure_iterations,
         solution_error=report.solution_error,
         stats=dict(report.stats),
+        residual_drift=drift_from_result(session.matrix_csr, session.b, report.result),
     )
 
 

@@ -97,6 +97,9 @@ class CampaignRunRecord:
     #: :class:`repro.cluster.statistics.ClusterStats`), so
     #: communication-volume regressions can be swept campaign-style.
     stats: dict[str, float] = dataclasses.field(default_factory=dict)
+    #: Residual drift of the converged solve (Eq. 2 of the paper, the
+    #: Table 4 metric); ``None`` on records stored before the column.
+    residual_drift: float | None = None
 
     @property
     def wasted_iterations(self) -> int:
@@ -153,6 +156,7 @@ _CSV_CONVERTERS: dict[str, Any] = {
     "scenario_params": json.loads,
     "failure_iterations": lambda raw: tuple(int(i) for i in raw.split(";") if i),
     "stats": lambda raw: json.loads(raw) if raw else {},
+    "residual_drift": lambda raw: float(raw) if raw else None,
 }
 
 

@@ -7,8 +7,11 @@ Commands
     MatrixMarket file) with an optional injected failure, and print the
     outcome summary.
 ``experiment``
-    Run the paper's Table-2/3 experiment grid for one problem and print
-    the rendered table (quick mode by default from the CLI).
+    Run the paper's Table-2/3 grid for one problem as a campaign
+    (:func:`repro.campaign.paper_table_spec`, on a process pool) and
+    print the rendered table, with the paper's values beside ours for
+    the two paper problems (quick mode by default; ``--full`` for the
+    whole constellation).
 ``campaign``
     Scenario-campaign sweeps (:mod:`repro.campaign`): ``campaign run``
     expands a declarative spec (built-in demo sweep, or a JSON file via
@@ -343,22 +346,19 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    from .harness import paper_table_config, render_overhead_table
-    from .harness.paper import PAPER_TABLE2, PAPER_TABLE3
-    from .harness.runner import ExperimentRunner
+    from .campaign import execute_campaign, paper_table_spec
+    from .harness import PAPER_TABLES, paper_table, render_overhead_table
 
-    config = paper_table_config(args.problem, quick=args.quick)
-    print(f"running {args.problem} grid: scale={config.scale}, "
-          f"N={config.n_nodes}, reps={config.repetitions} ...", flush=True)
-    runner = ExperimentRunner(config)
-    results = runner.run_table()
-    paper = PAPER_TABLE2 if "emilia" in args.problem else PAPER_TABLE3
+    spec = paper_table_spec(args.problem, quick=args.quick)
+    ((_, scale),) = spec.problems
+    print(f"running {args.problem} grid: scale={scale}, "
+          f"N={spec.n_nodes} ...", flush=True)
+    results = paper_table(execute_campaign(spec), args.problem)
     print(render_overhead_table(
         results,
-        phis=config.phis,
-        locations=config.locations,
+        phis=spec.phis,
         title=f"Overheads for {args.problem}",
-        paper=paper,
+        paper=PAPER_TABLES.get(args.problem),
     ))
     return 0
 

@@ -11,7 +11,7 @@ The paper's §5 protocol:
 * the failure is placed **two iterations before the end of the
   checkpoint interval containing iteration C/2** — the worst case, in
   which almost all progress since the last checkpoint is lost
-  (the placement helper lives in :mod:`repro.harness.runner`, since it
+  (the placement helper lives in :mod:`repro.campaign.scenarios`, since it
   needs the strategy's notion of a checkpoint).
 
 This module provides the event/schedule types, the contiguous-block and

@@ -1,41 +1,29 @@
-"""Experiment harness (S10-S11): regenerates the paper's tables & figures."""
+"""Paper harness: renders the paper's tables & figures from campaign results.
 
-from .calibration import BENCH_COST_MODEL, bench_cost_model, bench_noise_model
-from .config import ExperimentConfig, FailureSpec, paper_table_config
-from .metrics import (
-    OverheadSummary,
-    median,
-    relative_overhead,
-    residual_drift,
-    true_residual_norm,
-)
-from .paper import PAPER_TABLE2, PAPER_TABLE3, PAPER_TABLE4
-from .runner import ExperimentRunner, RunRecord, place_worst_case_failure
-from .tables import render_drift_table, render_overhead_table
+The §5 grid itself is :func:`repro.campaign.paper_table_spec`, run by
+:func:`repro.campaign.execute_campaign`; :func:`paper_table` turns its
+:class:`~repro.campaign.CampaignResult` into the layout the renderers
+below take.
+"""
+
+from .calibration import BENCH_COST_MODEL
+from .metrics import relative_overhead
+from .paper import PAPER_TABLE2, PAPER_TABLE3, PAPER_TABLE4, PAPER_TABLES
+from .tables import paper_table, render_drift_table, render_overhead_table
 from .figures import OverheadSeries, ascii_log_plot, overhead_series, render_queue_trace
 
 __all__ = [
     "BENCH_COST_MODEL",
-    "ExperimentConfig",
-    "ExperimentRunner",
-    "FailureSpec",
     "OverheadSeries",
-    "OverheadSummary",
     "PAPER_TABLE2",
     "PAPER_TABLE3",
     "PAPER_TABLE4",
-    "RunRecord",
+    "PAPER_TABLES",
     "ascii_log_plot",
-    "bench_cost_model",
-    "bench_noise_model",
-    "median",
     "overhead_series",
-    "paper_table_config",
-    "place_worst_case_failure",
+    "paper_table",
     "relative_overhead",
     "render_drift_table",
     "render_overhead_table",
     "render_queue_trace",
-    "residual_drift",
-    "true_residual_norm",
 ]

@@ -4,7 +4,7 @@
   median runtime overhead of ESRP / ESR / IMCR with markers for
   ϕ ∈ {1, 3, 8}, on a log axis — once failure-free, once with ψ = ϕ
   failures.  :func:`overhead_series` extracts exactly those series from
-  a :meth:`~repro.harness.runner.ExperimentRunner.run_table` result and
+  a :func:`~repro.harness.tables.paper_table` result and
   :func:`ascii_log_plot` renders them in the terminal (markers on a log
   scale), which is what the benches print.
 * Figure 1 shows the redundancy-queue evolution; :func:`render_queue_trace`
@@ -38,7 +38,7 @@ def overhead_series(
     with_failures: bool,
     locations: Sequence[str] = ("start", "center"),
 ) -> list[OverheadSeries]:
-    """Extract Fig. 2/3 series from a ``run_table`` result.
+    """Extract Fig. 2/3 series from a :func:`~repro.harness.tables.paper_table` result.
 
     With failures, the paper's markers aggregate (median) over the
     failure locations; failure-free uses the failure-free column.  The

@@ -125,6 +125,10 @@ PAPER_TABLE3 = {
     },
 }
 
+#: The published overhead table of each problem that has one; any
+#: other problem is printed without paper values.
+PAPER_TABLES = {"emilia_923_like": PAPER_TABLE2, "audikw_1_like": PAPER_TABLE3}
+
 #: Residual drift (Table 4): reference / median / minimum.
 PAPER_TABLE4 = {
     "Emilia_923": {"reference": -4.43e-2, "median": -4.74e-2, "minimum": -5.63e-2},

@@ -1,10 +1,77 @@
-"""Plain-text renderers mirroring the paper's table layout."""
+"""Plain-text renderers mirroring the paper's table layout.
+
+:func:`paper_table` turns the result of a
+:func:`~repro.campaign.spec.paper_table_spec` campaign into the layout
+:func:`render_overhead_table` and the figure helpers of
+:mod:`repro.harness.figures` take.
+"""
 
 from __future__ import annotations
 
 from typing import Mapping
 
+from ..campaign.results import CampaignResult, median
+from ..campaign.scenarios import ScenarioSpec
+from ..campaign.spec import PAPER_LOCATIONS, CampaignSpec
 from ..exceptions import ConfigurationError
+from ..matrices import suite
+
+
+def paper_table(result: CampaignResult, problem: str) -> dict:
+    """One problem's Table 2/3 cells and Table 4 drift row.
+
+    Layout: ``t0``, ``C``, ``problem``, ``n``, ``nnz``, ``drift`` and
+    ``cells[(strategy, T, phi)]``, a dict with ``"failure_free"`` and
+    ``(location, "total"|"reconstruction")`` overheads (medians over
+    repetitions).  ESR is keyed as ``("esrp", 1, phi)``, as the paper
+    prints it in the ESRP rows.
+    """
+    reference = next(
+        (r for r in result if r.problem == problem and r.strategy == "reference"),
+        None,
+    )
+    if reference is None:
+        raise ConfigurationError(f"campaign has no reference run of {problem!r}")
+    seed = result.spec.get("seed", CampaignSpec.seed)  # CSV results carry no spec
+    _, _, meta = suite.load(problem, scale=reference.scale, seed=seed)
+
+    columns = {ScenarioSpec.make("failure_free").label: ("failure_free",)}
+    for location in PAPER_LOCATIONS:
+        label = ScenarioSpec.make("worst_case", location=location).label
+        columns[label] = ((location, "total"), (location, "reconstruction"))
+    cells: dict = {}
+    for row in result.overhead_rows(problem):
+        keys = columns.get(row["scenario"])
+        if keys is None:
+            continue
+        strategy = "esrp" if row["strategy"] == "esr" else row["strategy"]
+        cell = cells.setdefault((strategy, row["T"], row["phi"]), {})
+        cell.update(zip(keys, (row["total_overhead"], row["recovery_overhead"])))
+
+    # Table 4: the reference row is every failure-free run (the
+    # reference solver's included), median and minimum every run with
+    # node failures.
+    drift: dict[str, list[float]] = {"failure_free": [], "failures": []}
+    for r in result:
+        if r.problem == problem and r.residual_drift is not None:
+            kind = "failure_free" if r.scenario_kind == "failure_free" else "failures"
+            drift[kind].append(r.residual_drift)
+    drift_row = {}
+    if drift["failure_free"]:
+        drift_row["reference"] = median(drift["failure_free"])
+    if drift["failures"]:
+        drift_row["median"] = median(drift["failures"])
+        drift_row["minimum"] = min(drift["failures"])
+
+    return {
+        "t0": reference.modeled_time,
+        "C": reference.iterations,
+        "problem": meta.name,
+        "n": meta.n,
+        "nnz": meta.nnz,
+        "drift": drift_row,
+        "cells": cells,
+    }
 
 
 def _pct(value: float | None) -> str:
@@ -28,14 +95,14 @@ def render_overhead_table(
     title: str = "",
     paper: Mapping | None = None,
 ) -> str:
-    """Render a Table-2/3-style report from :meth:`ExperimentRunner.run_table`.
+    """Render a Table-2/3-style report from :func:`paper_table`.
 
     If ``paper`` (the matching ``PAPER_TABLE*`` dict) is given, the
     paper's percentages are printed in parentheses next to ours.
     """
     cells = results.get("cells")
     if cells is None:
-        raise ConfigurationError("results dict lacks 'cells' (run run_table() first)")
+        raise ConfigurationError("results dict lacks 'cells' (see paper_table())")
     phi_header = " ".join(f"phi={phi:<3d}" for phi in phis)
     lines: list[str] = []
     if title:

@@ -9,7 +9,12 @@ from .engine import (
 )
 from .inner import INNER_RTOL, InnerSolveReport, inner_pcg, serial_block_jacobi
 from .reference import solve_reference
-from .residual_replacement import ResidualReplacer
+from .residual_replacement import (
+    ResidualReplacer,
+    drift_from_result,
+    residual_drift,
+    true_residual_norm,
+)
 from .state import PCGState, STATE_VECTOR_NAMES
 
 __all__ = [
@@ -23,7 +28,10 @@ __all__ = [
     "STATE_VECTOR_NAMES",
     "SolveOptions",
     "SolveResult",
+    "drift_from_result",
     "inner_pcg",
+    "residual_drift",
     "serial_block_jacobi",
     "solve_reference",
+    "true_residual_norm",
 ]

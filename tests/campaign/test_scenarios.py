@@ -30,7 +30,7 @@ def test_failure_free_is_empty():
 
 
 def test_worst_case_matches_harness_placement():
-    from repro.harness.runner import place_worst_case_failure
+    from repro.campaign.scenarios import place_worst_case_failure
 
     context = ctx(strategy="esrp", T=20, reference_iterations=100)
     schedule = generate_schedule(

@@ -123,7 +123,7 @@ class TestESRP:
         C = reference.iterations
         # place the failure 2 iterations before the end of the interval
         # containing C/2 (the paper's worst case)
-        from repro.harness import place_worst_case_failure
+        from repro.campaign.scenarios import place_worst_case_failure
 
         j_fail = place_worst_case_failure("esrp", T, C)
         result = run(problem, ESRPStrategy(T=T, phi=phi), [FailureEvent(j_fail, ranks)])
@@ -184,7 +184,7 @@ class TestIMCR:
     @pytest.mark.parametrize("phi,ranks", [(1, (1,)), (2, (2, 3)), (3, (1, 2, 3))])
     def test_recovery_rolls_back_to_checkpoint(self, problem, reference, phi, ranks):
         T = 10
-        from repro.harness import place_worst_case_failure
+        from repro.campaign.scenarios import place_worst_case_failure
 
         j_fail = place_worst_case_failure("imcr", T, reference.iterations)
         result = run(problem, IMCRStrategy(T=T, phi=phi), [FailureEvent(j_fail, ranks)])

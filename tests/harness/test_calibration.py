@@ -1,15 +1,16 @@
 """Tests for the benchmark machine-model calibration."""
 
-from repro.harness.calibration import BENCH_COST_MODEL, bench_cost_model, bench_noise_model
+from repro.cluster import cost_model
+from repro.harness.calibration import BENCH_COST_MODEL
 
 
 def test_bench_model_deterministic_by_default():
     assert BENCH_COST_MODEL.noise == 0.0
-    assert bench_cost_model() is BENCH_COST_MODEL
+    assert BENCH_COST_MODEL is cost_model.BENCH_COST_MODEL
 
 
 def test_noise_model_wraps_same_constants():
-    noisy = bench_noise_model(0.02)
+    noisy = BENCH_COST_MODEL.with_noise(0.02)
     assert noisy.noise == 0.02
     assert noisy.alpha == BENCH_COST_MODEL.alpha
     assert noisy.gamma == BENCH_COST_MODEL.gamma

@@ -1,27 +1,25 @@
-"""Tests for metrics, config, failure placement, tables and figures."""
+"""Tests for metrics, the paper grid spec, failure placement, tables and figures."""
 
 import numpy as np
 import pytest
 
 import repro
+from repro.campaign import StrategySpec, paper_table_spec
+from repro.campaign.results import median
+from repro.campaign.scenarios import place_worst_case_failure
 from repro.exceptions import ConfigurationError
 from repro.harness import (
     PAPER_TABLE2,
     PAPER_TABLE3,
     PAPER_TABLE4,
-    ExperimentConfig,
-    median,
-    paper_table_config,
-    place_worst_case_failure,
+    PAPER_TABLES,
     relative_overhead,
     render_drift_table,
     render_overhead_table,
-    residual_drift,
-    true_residual_norm,
 )
 from repro.harness.figures import ascii_log_plot, overhead_series, render_queue_trace
-from repro.harness.metrics import drift_from_result
 from repro.matrices import poisson_1d
+from repro.solvers import drift_from_result, residual_drift, true_residual_norm
 
 
 class TestMetrics:
@@ -107,29 +105,37 @@ class TestFailurePlacement:
 
 class TestConfig:
     def test_paper_defaults(self):
-        config = ExperimentConfig(problem="emilia_923_like")
-        assert config.phis == (1, 3, 8)
-        assert config.esrp_intervals == (1, 20, 50, 100)
-        assert config.imcr_intervals == (20, 50, 100)
-        assert config.locations == ("start", "center")
+        spec = paper_table_spec("emilia_923_like")
+        assert spec.problems == (("emilia_923_like", "bench"),)
+        assert spec.n_nodes == 32
+        assert spec.phis == (1, 3, 8)
+        assert spec.strategies == (
+            StrategySpec("reference"),
+            StrategySpec("esrp", (1, 20, 50, 100)),
+            StrategySpec("imcr", (20, 50, 100)),
+        )
+        assert [s.label for s in spec.scenarios] == [
+            "failure_free",
+            "worst_case(location=start)",
+            "worst_case(location=center)",
+        ]
 
-    def test_phi_must_fit_cluster(self):
+    def test_phi_must_fit_cluster(self, monkeypatch):
+        monkeypatch.setenv("REPRO_NODES", "8")
         with pytest.raises(ConfigurationError):
-            ExperimentConfig(problem="x", n_nodes=8, phis=(8,))
+            paper_table_spec("emilia_923_like")  # phi = 8 needs 9 nodes
 
     def test_env_overrides(self, monkeypatch):
         monkeypatch.setenv("REPRO_SCALE", "tiny")
         monkeypatch.setenv("REPRO_NODES", "4")
-        monkeypatch.setenv("REPRO_REPS", "1")
-        config = paper_table_config("emilia_923_like", quick=True)
-        assert config.scale == "tiny"
-        assert config.n_nodes == 4
-        assert config.repetitions == 1
+        spec = paper_table_spec("emilia_923_like", quick=True)
+        assert spec.problems == (("emilia_923_like", "tiny"),)
+        assert spec.n_nodes == 4
 
     def test_bad_env_int(self, monkeypatch):
         monkeypatch.setenv("REPRO_NODES", "lots")
         with pytest.raises(ConfigurationError):
-            paper_table_config("emilia_923_like")
+            paper_table_spec("emilia_923_like")
 
 
 class TestPaperData:
@@ -154,6 +160,13 @@ class TestPaperData:
         for T in (20, 50, 100):
             cell = PAPER_TABLE2["cells"][("imcr", T)]
             assert all(v == 0.0 for v in cell[("start", "reconstruction")].values())
+
+    def test_paper_tables_by_problem(self):
+        assert PAPER_TABLES == {
+            "emilia_923_like": PAPER_TABLE2,
+            "audikw_1_like": PAPER_TABLE3,
+        }
+        assert PAPER_TABLES.get("poisson3d") is None
 
     def test_table4_entries(self):
         assert set(PAPER_TABLE4) == {"Emilia_923", "audikw_1"}

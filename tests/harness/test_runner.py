@@ -1,96 +1,99 @@
-"""End-to-end tests of the experiment runner on a tiny configuration."""
+"""The paper's Table 2/3 grid run as a campaign, on a tiny configuration.
+
+:func:`repro.campaign.paper_table_spec` declares the grid,
+:func:`repro.campaign.execute_campaign` runs it and
+:func:`repro.harness.paper_table` lays the records out as table cells.
+"""
+
+import dataclasses
 
 import pytest
 
-from repro.harness import ExperimentConfig
-from repro.harness.runner import ExperimentRunner
+from repro.campaign import CampaignResult, execute_campaign, paper_table_spec
+from repro.campaign.spec import expand_spec
+from repro.exceptions import ConfigurationError
+from repro.harness import paper_table
+
+PROBLEM = "emilia_923_like"
 
 
 @pytest.fixture(scope="module")
-def runner():
-    config = ExperimentConfig(
-        problem="emilia_923_like",
-        scale="tiny",
-        n_nodes=4,
-        phis=(1, 2),
-        esrp_intervals=(1, 10),
-        imcr_intervals=(10,),
-        locations=("start", "center"),
-        repetitions=2,
-        noise=0.005,
-    )
-    return ExperimentRunner(config)
+def campaign():
+    spec = paper_table_spec(PROBLEM, quick=True)
+    tiny = dataclasses.replace(spec, problems=((PROBLEM, "tiny"),), n_nodes=4)
+    return execute_campaign(tiny, workers=0)
+
+
+@pytest.fixture(scope="module")
+def results(campaign):
+    return paper_table(campaign, PROBLEM)
 
 
 class TestReference:
-    def test_reference_cached(self, runner):
-        t0_a, c_a = runner.run_reference()
-        records_before = len(runner.records)
-        t0_b, c_b = runner.run_reference()
-        assert (t0_a, c_a) == (t0_b, c_b)
-        assert len(runner.records) == records_before  # no re-run
-
-    def test_reference_iterations_positive(self, runner):
-        assert runner.reference_iterations > 20
+    def test_reference_iterations_positive(self, results):
+        assert results["C"] > 20
+        assert results["t0"] > 0
 
 
 class TestCells:
-    def test_failure_free_cell(self, runner):
-        summary = runner.run_cell("esrp", 10, 1, location=None)
-        assert summary.failure_free_overhead is not None
-        assert summary.total_overhead is None
-        # resilience costs something (allow tiny negative under noise)
-        assert summary.failure_free_overhead > -0.05
+    def test_failure_free_cell(self, campaign):
+        failure_free = CampaignResult(
+            campaign.spec,
+            [r for r in campaign if r.scenario_kind == "failure_free"],
+        )
+        cell = paper_table(failure_free, PROBLEM)["cells"][("esrp", 20, 1)]
+        assert set(cell) == {"failure_free"}  # no failure columns
+        assert cell["failure_free"] > 0  # redundancy is never free
 
-    def test_failure_cell(self, runner):
-        summary = runner.run_cell("esrp", 10, 2, location="start")
-        assert summary.total_overhead is not None
-        assert summary.reconstruction_overhead is not None
-        assert summary.total_overhead > 0
-        assert summary.reconstruction_overhead >= 0
+    def test_failure_cell(self, results):
+        for cell in results["cells"].values():
+            for location in ("start", "center"):
+                assert cell[(location, "total")] > 0
+                assert cell[(location, "reconstruction")] >= 0
 
-    def test_imcr_reconstruction_much_smaller_than_esrp(self, runner):
-        esrp = runner.run_cell("esrp", 10, 2, location="start")
-        imcr = runner.run_cell("imcr", 10, 2, location="start")
-        assert imcr.reconstruction_overhead < esrp.reconstruction_overhead
-
-    def test_records_accumulate(self, runner):
-        runner.run_cell("esr", 1, 1, location="center")
-        matching = [
-            r
-            for r in runner.records
-            if r.strategy == "esr" and r.location == "center"
-        ]
-        assert len(matching) == runner.config.repetitions
-        assert all(r.psi == 1 for r in matching)
-        assert all(r.converged for r in matching)
+    def test_imcr_reconstruction_much_smaller_than_esrp(self, results):
+        for phi in (1, 3):
+            esrp = results["cells"][("esrp", 20, phi)]
+            imcr = results["cells"][("imcr", 20, phi)]
+            assert imcr[("start", "reconstruction")] < esrp[("start", "reconstruction")]
 
 
 class TestFullGrid:
-    def test_run_table_structure(self):
-        config = ExperimentConfig(
-            problem="emilia_923_like",
-            scale="tiny",
-            n_nodes=4,
-            phis=(1,),
-            esrp_intervals=(1, 10),
-            imcr_intervals=(10,),
-            locations=("start",),
-            repetitions=1,
-            noise=0.0,
-        )
-        runner = ExperimentRunner(config)
-        results = runner.run_table()
+    def test_run_table_structure(self, results):
         assert set(results["cells"]) == {
-            ("esrp", 1, 1),
-            ("esrp", 10, 1),
-            ("imcr", 10, 1),
+            (strategy, T, phi)
+            for strategy, intervals in (("esrp", (1, 20, 50)), ("imcr", (20, 50)))
+            for T in intervals
+            for phi in (1, 3)
         }
         for cell in results["cells"].values():
-            assert "failure_free" in cell
-            assert ("start", "total") in cell
-            assert ("start", "reconstruction") in cell
+            assert set(cell) == {
+                "failure_free",
+                ("start", "total"),
+                ("start", "reconstruction"),
+                ("center", "total"),
+                ("center", "reconstruction"),
+            }
+        drift = results["drift"]
+        assert set(drift) == {"reference", "median", "minimum"}
+        assert drift["minimum"] <= drift["median"]
 
-        drift = runner.drift_summary()
-        assert "reference" in drift and "median" in drift and "minimum" in drift
-        assert drift["minimum"] <= drift["median"] + 1e-12
+    @pytest.mark.parametrize("quick, runs", [(False, 64), (True, 31)])
+    def test_grid_size(self, quick, runs):
+        # one reference run + every (strategy, T, phi) cell failure-free
+        # and with failures at two locations
+        assert len(expand_spec(paper_table_spec(PROBLEM, quick=quick))) == runs
+
+    def test_stored_results_give_the_same_table(self, campaign, results, tmp_path):
+        for stored in (
+            CampaignResult.from_json(campaign.to_json(tmp_path / "grid.json")),
+            CampaignResult.from_csv(campaign.to_csv(tmp_path / "grid.csv")),
+        ):
+            assert paper_table(stored, PROBLEM) == results
+
+    def test_missing_reference_is_an_error(self, campaign):
+        without = CampaignResult(
+            campaign.spec, [r for r in campaign if r.strategy != "reference"]
+        )
+        with pytest.raises(ConfigurationError):
+            paper_table(without, PROBLEM)

@@ -88,9 +88,20 @@ class TestExperimentCommand:
     def test_experiment_quick_tiny(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_SCALE", "tiny")
         monkeypatch.setenv("REPRO_NODES", "4")
-        monkeypatch.setenv("REPRO_REPS", "1")
         code = main(["experiment", "--problem", "emilia_923_like", "--quick"])
         out = capsys.readouterr().out
         assert code == 0
         assert "Overheads for emilia_923_like" in out
         assert "ESR" in out and "IMCR" in out
+        assert "[paper: t0 = 14.66 s, C = 10279" in out
+
+    def test_experiment_without_paper_table(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_SCALE", "tiny")
+        monkeypatch.setenv("REPRO_NODES", "4")
+        code = main(["experiment", "--problem", "poisson3d", "--quick"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "Overheads for poisson3d" in out
+        assert "[paper:" not in out
+        cells = out.rsplit("-----\n", 1)[1]
+        assert "ESR" in cells and "(" not in cells  # no paper values beside cells

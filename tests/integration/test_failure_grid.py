@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.harness import place_worst_case_failure
+from repro.campaign.scenarios import place_worst_case_failure
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +49,7 @@ def test_grid_cell_recovers(setup, strategy, T, phi, location):
 
 def test_drift_stays_small_across_grid(setup):
     """Eq. (2): recoveries do not degrade the converged accuracy."""
-    from repro.harness.metrics import drift_from_result
+    from repro.solvers import drift_from_result
 
     matrix, b, reference = setup
     reference_drift = drift_from_result(matrix, b, reference)

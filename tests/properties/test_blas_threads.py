@@ -25,7 +25,7 @@ pytestmark = pytest.mark.skipif(
 SCRIPT = """
 import json
 import repro
-from repro.harness.metrics import drift_from_result
+from repro.solvers import drift_from_result
 from repro.matrices import load
 
 matrix, b, _ = load("poisson3d", "bench")

@@ -7,7 +7,7 @@ import repro
 from repro.cluster import FailureSchedule, VirtualCluster, zero_cost_model
 from repro.distribution import BlockRowPartition, DistributedMatrix
 from repro.exceptions import ConfigurationError
-from repro.harness.metrics import drift_from_result
+from repro.solvers import drift_from_result
 from repro.preconditioners import make_preconditioner
 from repro.solvers import NoResilience, PCGEngine, SolveOptions
 from repro.solvers.residual_replacement import ResidualReplacer
