@@ -17,12 +17,11 @@ Four cell families, all recorded into ``BENCH_queue.json``:
 * **compaction** — one worker draining with an aggressive
   ``--compact-every`` cadence; records segment count and collect time,
   and the collect must stay byte-identical to the uncompacted drain.
-* **sharded** — the layout-v3 six-figure-sweep cells: submit time and
-  *claim-scan* time (cold chunk selection + a fixed batch of real
+* **sharded** — the six-figure-sweep task-segment cells: submit time
+  and *claim-scan* time (cold chunk selection + a fixed batch of real
   lease claims from a fresh store handle) at two sweep sizes an order
-  of magnitude apart (10k and 100k tasks in the full run), plus a
-  layout-v2 reference point at the small size.  Claim-scan cost must
-  be O(shards), i.e. essentially flat in the task count.
+  of magnitude apart (10k and 100k tasks in the full run).  Claim-scan
+  cost must be O(shards), i.e. essentially flat in the task count.
 
 The acceptance gate (``--check``) is host-aware:
 
@@ -443,20 +442,19 @@ def measure_claim_scan(
 
 
 def run_sharded(sizes, scratch: pathlib.Path) -> dict:
-    """The layout-v3 submit + claim-scan cells (no drain: metadata only)."""
+    """The submit + claim-scan cells (no drain: metadata only)."""
     rows = []
-    for n_tasks, layout in [(n, 3) for n in sizes] + [(sizes[0], 2)]:
+    for n_tasks in sizes:
         spec = sharded_spec(n_tasks)
-        queue_dir = scratch / f"sharded-v{layout}-{n_tasks}"
+        queue_dir = scratch / f"sharded-{n_tasks}"
         started = time.perf_counter()
-        store = QueueStore.submit(spec, queue_dir, layout=layout)
+        store = QueueStore.submit(spec, queue_dir)
         submit_seconds = time.perf_counter() - started
         n_shards = len(store.shards())
         claim_seconds, claimed = measure_claim_scan(
             queue_dir, claims=CLAIM_SCAN_CLAIMS
         )
         row = {
-            "layout": layout,
             "tasks": store.n_tasks,
             "shards": n_shards,
             "submit_seconds": submit_seconds,
@@ -466,28 +464,24 @@ def run_sharded(sizes, scratch: pathlib.Path) -> dict:
         }
         rows.append(row)
         print(
-            f"sharded v{layout}: {row['tasks']:>7} tasks, "
+            f"sharded: {row['tasks']:>7} tasks, "
             f"{n_shards:>3} shard(s), submit {submit_seconds:6.2f}s, "
             f"claim-scan ({claimed} claims) {claim_seconds * 1e3:7.1f}ms",
             flush=True,
         )
-    v3 = [r for r in rows if r["layout"] == 3]
-    small, large = v3[0], v3[-1]
-    v2 = next(r for r in rows if r["layout"] == 2)
+    small, large = rows[0], rows[-1]
     return {
-        "sweep": f"queue-sharded (layout-v3 metadata cells, "
+        "sweep": f"queue-sharded (task-segment metadata cells, "
                  f"{CLAIM_SCAN_CLAIMS} claims per measurement)",
         "results": rows,
         "headline": {
-            "sizes": [r["tasks"] for r in v3],
+            "sizes": [r["tasks"] for r in rows],
             "claim_scan_ratio":
                 large["claim_scan_seconds"] / small["claim_scan_seconds"],
             "claim_scan_bound": CLAIM_SCAN_RATIO_BOUND,
             "submit_ratio":
                 large["submit_seconds"] / small["submit_seconds"],
             "tasks_ratio": large["tasks"] / small["tasks"],
-            "v2_claim_scan_seconds": v2["claim_scan_seconds"],
-            "v3_claim_scan_seconds_small": small["claim_scan_seconds"],
         },
     }
 

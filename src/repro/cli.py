@@ -160,10 +160,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "submit",
         help="materialise a campaign spec as a durable on-disk task queue",
         description="Expand a campaign spec into claimable tasks under the "
-        "queue directory (layout v3 batches them into per-shard segment "
-        "files). Workers ('repro campaign worker') on any host sharing that "
-        "directory then drain it; see the repro.queue module docstring for "
-        "the layout and lease protocol.",
+        "queue directory (batched into per-shard segment files). Workers "
+        "('repro campaign worker') on any host sharing that directory then "
+        "drain it; see the repro.queue module docstring for the layout and "
+        "lease protocol.",
     )
     submit_cmd.add_argument("--queue", required=True, metavar="DIR",
                             help="queue directory (must not hold a queue yet)")
@@ -184,14 +184,12 @@ def _build_parser() -> argparse.ArgumentParser:
                             help="base of the jittered exponential backoff a "
                             "failed task sits out before it is claimable "
                             "again (default: 0.05)")
-    submit_cmd.add_argument("--layout", default="v3", choices=("v2", "v3"),
-                            help="on-disk task-store layout: v3 (default) "
-                            "batches tasks into per-shard RQS1 segments; v2 "
-                            "writes the legacy one-JSON-file-per-task store "
-                            "(both stay readable by workers and collect)")
-    submit_cmd.add_argument("--shard-size", type=int, default=None, metavar="N",
-                            help="max tasks per layout-v3 task segment "
-                            "(default: 1024; ignored under --layout v2)")
+    from .queue.store import DEFAULT_SHARD_SIZE
+
+    submit_cmd.add_argument("--shard-size", type=int,
+                            default=DEFAULT_SHARD_SIZE, metavar="N",
+                            help="max tasks per task segment "
+                            f"(default: {DEFAULT_SHARD_SIZE})")
 
     worker_cmd = campaign_sub.add_parser(
         "worker",
@@ -231,6 +229,16 @@ def _build_parser() -> argparse.ArgumentParser:
         "retried-manifests/ first. Run workers again afterwards.",
     )
     retry_cmd.add_argument("--queue", required=True, metavar="DIR")
+
+    migrate_cmd = campaign_sub.add_parser(
+        "migrate",
+        help="convert a layout-2 queue (one JSON file per task) in place",
+        description="One-shot conversion of a queue submitted by an older "
+        "build: its per-task JSON files become task segments, keeping every "
+        "task id, lease, marker, ledger and spool. Stop every worker first; "
+        "re-running is safe and a no-op on an up-to-date queue.",
+    )
+    migrate_cmd.add_argument("--queue", required=True, metavar="DIR")
 
     status_cmd = campaign_sub.add_parser(
         "status", help="summarise a queue's task/lease/spool state"
@@ -406,7 +414,8 @@ def _worker_progress_printer(worker_id: str):
 
 
 def _cmd_campaign_queue(args: argparse.Namespace) -> int:
-    """The durable-queue subcommands: submit / worker / status / collect."""
+    """The durable-queue subcommands: submit / retry / migrate / worker /
+    status / collect."""
     import json as _json
     import os
 
@@ -428,21 +437,14 @@ def _cmd_campaign_queue(args: argparse.Namespace) -> int:
             args.retry_backoff if args.retry_backoff is not None
             else DEFAULT_RETRY_BACKOFF
         )
-        from .queue.store import DEFAULT_SHARD_SIZE
-
-        layout = int(args.layout.lstrip("v"))
-        shard_size = (
-            args.shard_size if args.shard_size is not None
-            else DEFAULT_SHARD_SIZE
-        )
         store = QueueStore.submit(
             spec, args.queue,
             max_attempts=max_attempts, retry_backoff=retry_backoff,
-            layout=layout, shard_size=shard_size,
+            shard_size=args.shard_size,
         )
         print(f"campaign {spec.name!r}: {store.n_tasks} tasks submitted "
-              f"to {store.queue_dir} (layout v{layout}, "
-              f"max {max_attempts} attempt(s)/task)")
+              f"to {store.queue_dir} in {len(store.shards())} shard(s) "
+              f"(max {max_attempts} attempt(s)/task)")
         print("next: repro campaign worker --queue "
               f"{store.queue_dir}  (repeat per core / host)")
         return 0
@@ -459,6 +461,14 @@ def _cmd_campaign_queue(args: argparse.Namespace) -> int:
         print(f"resurrected {len(resurrected)} task(s); provenance kept in "
               f"{store.manifests_dir()}")
         print(f"next: repro campaign worker --queue {store.queue_dir}")
+        return 0
+
+    if args.campaign_command == "migrate":
+        converted = QueueStore.migrate(args.queue)
+        print(f"queue {args.queue}: " + (
+            f"migrated {converted} task(s) to task segments" if converted
+            else "already up to date"
+        ))
         return 0
 
     if args.campaign_command == "worker":
@@ -525,7 +535,9 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     from .campaign.executor import default_workers
     from .campaign.spec import expand_spec
 
-    if args.campaign_command in ("submit", "worker", "retry", "status", "collect"):
+    if args.campaign_command in (
+        "submit", "worker", "retry", "migrate", "status", "collect"
+    ):
         return _cmd_campaign_queue(args)
 
     if args.campaign_command == "report":

@@ -3,7 +3,7 @@
 Scaling a sweep past one host needs no broker: a directory on a shared
 POSIX filesystem *is* the queue.  ``submit`` materialises a
 :class:`~repro.campaign.spec.CampaignSpec` as per-shard task segments
-(layout v3; one file per shard of up to 1024 tasks, not one per task);
+(one file per shard of up to 1024 tasks, not one per task);
 any number of independent worker processes (one host or many, as long
 as they see the same directory) claim tasks through atomic filesystem
 operations, execute them through the standard
@@ -51,13 +51,10 @@ and per-shard terminal bucketing straight from the id), and
 ``RQS1`` format with compacted spool segments (record*, JSON footer,
 ``footer_length:u32 + b"RQS1"`` trailer; see :mod:`repro.queue.segment`).
 
-Layout version 2 — one ``tasks/<task_id>.json`` file per task, no
-manifest — remains fully readable *and drainable*: every mutable
-directory (leases, markers, ledgers, spools, segments) is identical
-across layouts, task ids are identical, and a v2 store's shard view is
-synthesised from its task listing, so v3 workers run one claiming
-algorithm against both.  New submits default to v3
-(``submit --layout v2`` keeps the legacy writer available).
+A layout-2 queue (one ``tasks/<task_id>.json`` file per task, no
+manifest) is refused on open; ``repro campaign migrate --queue DIR``
+(:meth:`~repro.queue.store.QueueStore.migrate`) converts it once, in
+place, keeping its task ids and every mutable directory.
 
 Every payload write is atomic (same-directory temp file +
 ``os.replace``), so readers never observe partial JSON; segment
@@ -65,13 +62,13 @@ publication additionally fsyncs file and directory entry.
 
 Lease protocol
 --------------
-Leases are per **task id** and know nothing of shards or layout — the
-protocol below is byte-identical across layouts v2 and v3.
+Leases are per **task id** and know nothing of shards.
 
-
-* **Claim** — create ``leases/<task_id>.json`` with
-  ``O_CREAT | O_EXCL``.  At most one creator can succeed, which is the
-  whole mutual exclusion story; there is no lock server to die.
+* **Claim** — write the lease to a worker-unique temp file, then
+  publish it with ``os.link`` onto ``leases/<task_id>.json``.  The link
+  fails with ``FileExistsError`` for all but one caller, which is the
+  whole mutual exclusion story (there is no lock server to die), and
+  readers never see an empty or half-written lease.
 * **Heartbeat** — lease *content* is immutable after the claim: the
   holder renews every ``ttl/4`` seconds by touching the lease file's
   **mtime** (``os.utime`` on a descriptor whose ownership it just
@@ -84,7 +81,7 @@ protocol below is byte-identical across layouts v2 and v3.
   ``ttl`` is dead.  Any worker may reclaim it by *renaming* the lease
   file to a unique tombstone under ``reclaimed/`` — rename is atomic,
   so exactly one reclaimer wins — after which the task is claimable
-  again via the ordinary ``O_EXCL`` path.
+  again via the ordinary ``os.link`` claim.
 * **Completion** — the worker appends the record to its spool shard
   (flushed + fsynced), *then* writes the ``done/`` marker, *then*
   releases the lease.  A crash between spool and marker merely lets
@@ -215,7 +212,6 @@ from .store import (
     DEFAULT_SHARD_SIZE,
     DEFAULT_TTL,
     LAYOUT_VERSION,
-    SUPPORTED_LAYOUTS,
     UNSAFE_LINK_ENV,
     QueueScan,
     QueueStore,
@@ -246,7 +242,6 @@ __all__ = [
     "QueueStore",
     "QueueTask",
     "QueueWorker",
-    "SUPPORTED_LAYOUTS",
     "TaskOutcome",
     "TaskShard",
     "UNSAFE_LINK_ENV",

@@ -14,7 +14,7 @@ every current use), a JSON footer describing the batch, and a fixed
 All integers are little-endian.  The format is shared by two queue
 subsystems: spool *compaction* (a worker folds its JSONL shard into a
 sorted segment, :meth:`repro.queue.store.QueueStore.compact_shard`)
-and the layout-v3 *task store* (submit batches tasks into per-shard
+and the *task store* (submit batches tasks into per-shard
 segments instead of one JSON file per task).  Readers validate the
 trailer before trusting anything else, so a truncated or foreign file
 fails loudly instead of yielding garbage records.
@@ -145,7 +145,7 @@ def iter_payloads(
 def read_payload_at(path: pathlib.Path, offset: int) -> bytes:
     """Read the single record starting at ``offset`` (footer-indexed).
 
-    The random-access path behind layout-v3 ``load_task``: offsets come
+    The random-access path behind ``load_task``: offsets come
     from the segment's own footer, so a short read here means the file
     was truncated after publication — corruption, reported loudly.
     """

@@ -1,12 +1,13 @@
 """The file-backed job store: submit, claim, heartbeat, complete, reclaim.
 
-All mutations are either an ``O_CREAT | O_EXCL`` create (claims — at
-most one creator succeeds, even across hosts sharing a POSIX
-filesystem), an ``os.replace`` of a same-directory temp file (every
-payload write — readers never observe partial JSON), or an
-``os.rename`` to a unique tombstone (reclaims — at most one renamer
-succeeds).  See the :mod:`repro.queue` package docstring for the
-on-disk layout and the full lease protocol.
+All mutations are either an ``os.link`` of a fully-written,
+worker-unique temp lease onto ``leases/<task_id>.json`` (claims — the
+link fails with ``FileExistsError`` for all but one caller, even across
+hosts sharing a POSIX filesystem), an ``os.replace`` of a
+same-directory temp file (every payload write — readers never observe
+partial JSON), or an ``os.rename`` to a unique tombstone (reclaims — at
+most one renamer succeeds).  See the :mod:`repro.queue` package
+docstring for the on-disk layout and the full lease protocol.
 """
 
 from __future__ import annotations
@@ -35,23 +36,16 @@ from .segment import (
 )
 from .state import Lease, QueueStatus, QueueTask, TaskOutcome
 
-#: Store layout version stamped into ``spec.json`` by new submits.
-#: Version 2 embeds the configuration digest in every task id (affine
-#: chunk claiming), adds the ``retries/`` ledger and ``segments/``
-#: compaction directories, and records the retry policy in
-#: ``spec.json``.  Version 3 keeps all of that but batches the task
-#: store into per-shard ``RQS1`` segments (one file per shard instead
-#: of one JSON file per task) with a shard manifest in ``spec.json``,
-#: so submit cost, claim-scan cost and inode count are O(shards), not
-#: O(tasks).
+#: Store layout version stamped into ``spec.json``: task ids embed the
+#: configuration digest (affine chunk claiming), ``spec.json`` records
+#: the retry policy and a shard manifest, and tasks live in per-shard
+#: ``RQS1`` segments (one file per shard instead of one JSON file per
+#: task), so submit cost, claim-scan cost and inode count are
+#: O(shards), not O(tasks).  Layout-2 queues (one ``tasks/<id>.json``
+#: per task) are converted once by :meth:`QueueStore.migrate`.
 LAYOUT_VERSION = 3
 
-#: Layout versions this code can open.  Mutable state (leases, markers,
-#: retry ledgers, spool shards, compacted segments) is identical across
-#: both, so v2 stores stay claimable and collectable by v3 workers.
-SUPPORTED_LAYOUTS = (2, 3)
-
-#: Default upper bound on tasks per layout-v3 task segment.  Shards are
+#: Default upper bound on tasks per task segment.  Shards are
 #: configuration-contiguous spans capped at this size, so a sweep with
 #: one huge configuration group still claims and scans in O(shards):
 #: chunk selection touches shard manifests, not task listings.
@@ -135,7 +129,7 @@ def task_id_for(index: int, run: RunSpec) -> str:
 
 
 def task_config(task_id: str) -> str:
-    """The configuration digest embedded in a task id (layouts v2+)."""
+    """The configuration digest embedded in a task id."""
     parts = task_id.split("-")
     if len(parts) != 3:
         raise ConfigurationError(f"malformed task id {task_id!r}")
@@ -143,7 +137,7 @@ def task_config(task_id: str) -> str:
 
 
 def task_index(task_id: str) -> int:
-    """The expansion-index prefix embedded in a task id (layouts v2+)."""
+    """The expansion-index prefix embedded in a task id."""
     prefix = task_id.split("-", 1)[0]
     try:
         return int(prefix)
@@ -155,11 +149,8 @@ def task_index(task_id: str) -> int:
 class TaskShard:
     """One configuration-contiguous span of the task namespace.
 
-    Layout v3 materialises each shard as one ``RQS1`` task segment
-    under ``tasks/`` (``path`` points at it); opening a v2 store
-    derives equivalent shards from the per-task file listing (``path``
-    is ``None``) so workers run one selection algorithm against both
-    layouts.  ``key`` is unique within a store and doubles as the v3
+    Each shard is one ``RQS1`` task segment under ``tasks/`` at
+    ``path``; ``key`` is unique within a store and doubles as the
     segment file stem.
     """
 
@@ -167,7 +158,7 @@ class TaskShard:
     config: str
     first_index: int
     count: int
-    path: pathlib.Path | None = None
+    path: pathlib.Path
 
     @property
     def end_index(self) -> int:
@@ -241,14 +232,16 @@ class QueueStore:
         self.queue_dir = pathlib.Path(queue_dir)
         self._spec_payload: dict[str, Any] | None = None
         self._task_ids: list[str] | None = None
-        self._config_groups: list[tuple[str, list[str]]] | None = None
-        #: Immutable shard metadata (manifest or listing derived).
+        #: Immutable shard metadata (from the ``spec.json`` manifest)
+        #: and the shards' ``first_index`` list, built once beside it
+        #: so :meth:`shard_for_task` is one bisect.
         self._shards: list[TaskShard] | None = None
+        self._shard_starts: list[int] = []
         #: Per-shard task-id lists, loaded lazily (one footer read per
-        #: v3 shard, ever) — chunk selection only pays for the shards
-        #: it actually claims from.
+        #: shard, ever) — chunk selection only pays for the shards it
+        #: actually claims from.
         self._shard_ids: dict[str, list[str]] = {}
-        #: Per-shard ``task_id -> byte offset`` indexes for the v3
+        #: Per-shard ``task_id -> byte offset`` indexes for the
         #: random-access ``load_task`` path.
         self._shard_offsets: dict[str, dict[str, int]] = {}
         #: Claim-scan cursor: tasks before it were terminal or leased
@@ -266,9 +259,6 @@ class QueueStore:
 
     def _dir(self, name: str) -> pathlib.Path:
         return self.queue_dir / name
-
-    def task_path(self, task_id: str) -> pathlib.Path:
-        return self._dir("tasks") / f"{task_id}.json"
 
     def lease_path(self, task_id: str) -> pathlib.Path:
         return self._dir("leases") / f"{task_id}.json"
@@ -295,7 +285,6 @@ class QueueStore:
         queue_dir,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
         retry_backoff: float = DEFAULT_RETRY_BACKOFF,
-        layout: int = LAYOUT_VERSION,
         shard_size: int = DEFAULT_SHARD_SIZE,
     ) -> "QueueStore":
         """Materialise a campaign spec as an on-disk task store.
@@ -309,14 +298,9 @@ class QueueStore:
         dead-lettered, and the base of the jittered exponential backoff
         a failed task sits out before it is claimable again.  Both are
         stored in ``spec.json`` so every worker — any host, any start
-        time — applies the same bound.
-
-        ``layout`` selects the on-disk task-store format: 3 (default)
-        batches tasks into configuration-contiguous ``RQS1`` segments
-        of at most ``shard_size`` tasks each; 2 writes the legacy one
-        JSON file per task (kept writable so compatibility fixtures and
-        downgrade paths stay testable).  Task *ids* are identical under
-        both, so nothing downstream of submit depends on the choice.
+        time — applies the same bound.  Tasks are batched into
+        configuration-contiguous ``RQS1`` segments of at most
+        ``shard_size`` tasks each.
         """
         if max_attempts < 1:
             raise ConfigurationError(
@@ -325,11 +309,6 @@ class QueueStore:
         if retry_backoff < 0:
             raise ConfigurationError(
                 f"retry_backoff must be >= 0, got {retry_backoff}"
-            )
-        if layout not in SUPPORTED_LAYOUTS:
-            raise ConfigurationError(
-                f"unsupported queue layout {layout!r}; "
-                f"supported layouts: {', '.join(map(str, SUPPORTED_LAYOUTS))}"
             )
         if shard_size < 1:
             raise ConfigurationError(
@@ -347,32 +326,90 @@ class QueueStore:
         store.queue_dir.mkdir(parents=True, exist_ok=True)
         for name in _SUBDIRS:
             store._dir(name).mkdir(exist_ok=True)
-        payload: dict[str, Any] = {
-            "version": layout,
-            "spec": spec.to_dict(),
-            "n_tasks": len(runs),
-            "retry": {
-                "max_attempts": max_attempts,
-                "backoff": retry_backoff,
-            },
-        }
-        if layout >= 3:
-            payload["shard_size"] = shard_size
-            payload["shards"] = store._write_task_segments(runs, shard_size)
-        else:
-            for index, run in enumerate(runs):
-                task = QueueTask(task_id=task_id_for(index, run), run=run)
-                _atomic_write_json(store.task_path(task.task_id), task.to_dict())
-        # The spec file is written last: its presence marks the store
-        # complete and claimable, so workers polling a half-submitted
-        # directory see zero tasks rather than a partial sweep.
-        _atomic_write_json(store.spec_path, payload)
+        store._publish(
+            spec.to_dict(),
+            [
+                QueueTask(task_id=task_id_for(index, run), run=run)
+                for index, run in enumerate(runs)
+            ],
+            {"max_attempts": max_attempts, "backoff": retry_backoff},
+            shard_size,
+        )
         return store
 
+    @classmethod
+    def migrate(cls, queue_dir) -> int:
+        """Convert a layout-2 queue (one ``tasks/<task_id>.json`` per
+        task) to task segments in place: ``repro campaign migrate``.
+
+        Task ids are kept (markers, leases and ledgers name them) and
+        every mutable directory is left untouched.  The ``spec.json``
+        replace is the commit point and the task JSON files are
+        unlinked only after it, so a re-run after a crash converges.
+        Refuses while any lease is live: an older-build worker may
+        still be reading ``tasks/*.json``.  Returns the number of tasks
+        converted (0: already current).
+        """
+        store = cls(queue_dir)
+        payload = _read_json(store.spec_path)
+        converted = 0
+        if payload is not None and payload.get("version") == 2:
+            now = time.time()
+            for path in store._dir("leases").glob("*.json"):
+                lease = store.read_lease(path.stem)
+                if lease is not None and not lease.expired(now):
+                    raise ConfigurationError(
+                        f"{path} is a live lease: stop every worker on "
+                        f"{store.queue_dir} before migrating it"
+                    )
+            tasks = [
+                QueueTask.from_dict(_read_json(path))
+                for path in sorted(store._dir("tasks").glob("*.json"))
+            ]
+            if [task_index(t.task_id) for t in tasks] != list(
+                range(int(payload["n_tasks"]))
+            ):
+                raise ConfigurationError(f"{store.queue_dir} has missing tasks")
+            store._publish(
+                CampaignSpec.from_dict(payload["spec"]).to_dict(),
+                tasks,
+                dict(payload["retry"]),
+                DEFAULT_SHARD_SIZE,
+            )
+            converted = len(tasks)
+        else:
+            store._payload()  # current layout, or an unsubmitted/unknown store
+        for path in store._dir("tasks").glob("*.json"):
+            path.unlink(missing_ok=True)
+        return converted
+
+    def _publish(
+        self,
+        spec_dict: dict[str, Any],
+        tasks: list[QueueTask],
+        retry: dict[str, Any],
+        shard_size: int,
+    ) -> None:
+        """Write the task segments, then ``spec.json`` (the commit point).
+
+        The spec file is written last: its presence marks the store
+        complete and claimable, so workers polling a half-submitted
+        directory see zero tasks rather than a partial sweep.
+        """
+        shards = self._write_task_segments(tasks, shard_size)
+        _atomic_write_json(self.spec_path, {
+            "version": LAYOUT_VERSION,
+            "spec": spec_dict,
+            "n_tasks": len(tasks),
+            "retry": retry,
+            "shard_size": shard_size,
+            "shards": shards,
+        })
+
     def _write_task_segments(
-        self, runs: list[RunSpec], shard_size: int
+        self, tasks: list[QueueTask], shard_size: int
     ) -> list[dict[str, Any]]:
-        """Write the layout-v3 task segments; returns the shard manifest.
+        """Write the task segments; returns the shard manifest.
 
         Each shard is the longest configuration-contiguous run of tasks
         no larger than ``shard_size``, published as one ``RQS1`` segment
@@ -383,10 +420,6 @@ class QueueStore:
         split a task away from its configuration neighbours except at
         the size cap.
         """
-        tasks = [
-            QueueTask(task_id=task_id_for(index, run), run=run)
-            for index, run in enumerate(runs)
-        ]
         manifest: list[dict[str, Any]] = []
         start = 0
         while start < len(tasks):
@@ -434,21 +467,16 @@ class QueueStore:
                     f"{self.queue_dir} is not a submitted queue "
                     "(no spec.json; run 'repro campaign submit' first)"
                 )
-            version = int(payload.get("version", -1))
-            if version not in SUPPORTED_LAYOUTS:
+            version = payload.get("version")
+            if version != LAYOUT_VERSION:
                 raise ConfigurationError(
-                    f"queue layout version {version} is not supported "
-                    f"(this build reads layouts "
-                    f"{', '.join(map(str, SUPPORTED_LAYOUTS))}) "
-                    f"in {self.spec_path}"
+                    f"queue layout version {version} in {self.spec_path} is "
+                    f"not supported (this build reads layout {LAYOUT_VERSION}; "
+                    "convert a layout-2 queue once with 'repro campaign "
+                    f"migrate --queue {self.queue_dir}')"
                 )
             self._spec_payload = payload
         return self._spec_payload
-
-    @property
-    def layout_version(self) -> int:
-        """The store's on-disk layout version (from ``spec.json``)."""
-        return int(self._payload()["version"])
 
     @property
     def spec_dict(self) -> dict[str, Any]:
@@ -480,42 +508,25 @@ class QueueStore:
     def shards(self) -> list[TaskShard]:
         """The store's task shards, in expansion order.
 
-        Layout v3 reads these straight from the ``spec.json`` shard
-        manifest — O(shards) metadata with no directory listing and no
-        segment reads.  Layout v2 derives one shard per configuration
-        group from the per-task file listing (``path=None``), so every
-        caller — most importantly the worker's chunk selection — runs
-        one algorithm against both layouts.
+        Read straight from the ``spec.json`` shard manifest — O(shards)
+        metadata with no directory listing and no segment reads.
         """
         if self._shards is None:
-            if self.layout_version >= 3:
-                self._shards = [
-                    TaskShard(
-                        key=str(entry["key"]),
-                        config=str(entry["config"]),
-                        first_index=int(entry["first_index"]),
-                        count=int(entry["count"]),
-                        path=self._dir("tasks") / f"{entry['key']}.seg",
-                    )
-                    for entry in self._payload()["shards"]
-                ]
-            else:
-                shards = []
-                for config, task_ids in self.config_groups():
-                    first_index = task_index(task_ids[0])
-                    shard = TaskShard(
-                        key=f"{first_index:06d}-{config}",
-                        config=config,
-                        first_index=first_index,
-                        count=len(task_ids),
-                    )
-                    self._shard_ids[shard.key] = list(task_ids)
-                    shards.append(shard)
-                self._shards = shards
+            self._shards = [
+                TaskShard(
+                    key=str(entry["key"]),
+                    config=str(entry["config"]),
+                    first_index=int(entry["first_index"]),
+                    count=int(entry["count"]),
+                    path=self._dir("tasks") / f"{entry['key']}.seg",
+                )
+                for entry in self._payload()["shards"]
+            ]
+            self._shard_starts = [shard.first_index for shard in self._shards]
         return self._shards
 
     def _shard_footer(self, shard: TaskShard) -> dict[str, Any]:
-        """Load (and cache) one v3 shard's footer index."""
+        """Load (and cache) one shard's footer index."""
         footer = read_footer(shard.path)
         task_ids = [str(task_id) for task_id in footer["task_ids"]]
         offsets = [int(offset) for offset in footer["offsets"]]
@@ -541,9 +552,7 @@ class QueueStore:
             index = task_index(task_id)
         except ConfigurationError:
             return None
-        position = bisect.bisect_right(
-            [shard.first_index for shard in shards], index
-        )
+        position = bisect.bisect_right(self._shard_starts, index)
         if position == 0:
             return None
         shard = shards[position - 1]
@@ -569,88 +578,46 @@ class QueueStore:
         """All task ids, in deterministic (= expansion) order.
 
         Cached per handle: the task set is immutable once ``spec.json``
-        exists (submit writes it last), so one directory listing (v2)
-        or one footer read per shard (v3) serves every later use.
+        exists (submit writes it last), so one footer read per shard
+        serves every later use.
         """
         if self._task_ids is None:
-            self._payload()  # validate the store exists first
-            if self.layout_version >= 3:
-                self._task_ids = [
-                    task_id
-                    for shard in self.shards()
-                    for task_id in self.shard_task_ids(shard)
-                ]
-            else:
-                self._task_ids = sorted(
-                    p.stem for p in self._dir("tasks").glob("*.json")
-                )
+            self._task_ids = [
+                task_id
+                for shard in self.shards()
+                for task_id in self.shard_task_ids(shard)
+            ]
         return self._task_ids
 
     def load_task(self, task_id: str) -> QueueTask:
-        """Load one task payload (v3: a footer-indexed seek-and-read)."""
-        if self.layout_version >= 3:
-            shard = self.shard_for_task(task_id)
-            if shard is not None and shard.key not in self._shard_offsets:
-                self._shard_footer(shard)
-            offset = (
-                self._shard_offsets[shard.key].get(task_id)
-                if shard is not None else None
+        """Load one task payload (a footer-indexed seek-and-read)."""
+        shard = self.shard_for_task(task_id)
+        if shard is not None and shard.key not in self._shard_offsets:
+            self._shard_footer(shard)
+        offset = (
+            self._shard_offsets[shard.key].get(task_id)
+            if shard is not None else None
+        )
+        if offset is None:
+            raise ConfigurationError(
+                f"unknown task {task_id!r} in {self.queue_dir}"
             )
-            if offset is None:
-                raise ConfigurationError(
-                    f"unknown task {task_id!r} in {self.queue_dir}"
-                )
-            return QueueTask.from_dict(
-                json.loads(read_payload_at(shard.path, offset))
-            )
-        payload = _read_json(self.task_path(task_id))
-        if payload is None:
-            raise ConfigurationError(f"unknown task {task_id!r} in {self.queue_dir}")
-        return QueueTask.from_dict(payload)
+        return QueueTask.from_dict(
+            json.loads(read_payload_at(shard.path, offset))
+        )
 
     def iter_tasks(self) -> Iterator[QueueTask]:
-        """Stream every task in expansion order (v3: sequential segment
+        """Stream every task in expansion order (sequential segment
         reads, never one seek per task)."""
-        if self.layout_version >= 3:
-            for shard in self.shards():
-                for payload in iter_payloads(shard.path):
-                    yield QueueTask.from_dict(json.loads(payload))
-            return
-        for task_id in self.task_ids():
-            yield self.load_task(task_id)
+        for shard in self.shards():
+            for payload in iter_payloads(shard.path):
+                yield QueueTask.from_dict(json.loads(payload))
 
     def is_terminal(self, task_id: str) -> bool:
         return (
             self.outcome_path(task_id, "done").exists()
             or self.outcome_path(task_id, "failed").exists()
         )
-
-    def config_groups(self) -> list[tuple[str, list[str]]]:
-        """Task ids grouped into configuration-contiguous chunks.
-
-        One ``(config digest, task ids)`` pair per distinct
-        :attr:`~repro.campaign.spec.RunSpec.config_key`, in expansion
-        order.  Derived from the cached task-id listing (the digest is
-        embedded in every task id), so grouping costs one directory
-        listing (v2) or the shard footers (v3), never a JSON read per
-        task.  Expansion nests the sweep axes with the configuration
-        axes outermost, so each group is one contiguous span of the
-        task order.
-
-        Note the difference from :meth:`shards`: a group is a whole
-        configuration span; a v3 shard is a size-capped slice of one.
-        Chunk *selection* works on shards; this view serves summary
-        tooling and tests that reason about whole configurations.
-        """
-        if self._config_groups is None:
-            groups: list[tuple[str, list[str]]] = []
-            for task_id in self.task_ids():
-                config = task_config(task_id)
-                if not groups or groups[-1][0] != config:
-                    groups.append((config, []))
-                groups[-1][1].append(task_id)
-            self._config_groups = groups
-        return self._config_groups
 
     # ------------------------------------------------------------------ leases
 
@@ -736,8 +703,9 @@ class QueueStore:
     def _check_link_safety() -> None:
         """The documented adversarial-filesystem gate.
 
-        Mutual exclusion rests entirely on atomic ``os.link`` /
-        ``O_EXCL`` creation, which classic NFSv2 does not guarantee.
+        Mutual exclusion rests entirely on atomic
+        (``O_EXCL``-equivalent) ``os.link``, which classic NFSv2 does
+        not guarantee.
         Exporting :data:`UNSAFE_LINK_ENV` declares the filesystem
         adversarial and makes every claim refuse loudly instead of
         silently risking double execution.
@@ -1259,7 +1227,6 @@ __all__ = [
     "QueueScan",
     "QueueStore",
     "SEGMENT_MAGIC",
-    "SUPPORTED_LAYOUTS",
     "TaskShard",
     "UNSAFE_LINK_ENV",
     "config_digest",

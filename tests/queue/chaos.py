@@ -76,10 +76,7 @@ class ChaosPlan:
     #: Tasks pre-claimed by ghosts whose leases must expire + reclaim.
     ghost_leases: int
     affine: bool
-    #: Task-store layout the schedule submits with (3 = sharded
-    #: segments, 2 = legacy per-task files — the compat pin).
-    layout: int = 3
-    #: Max tasks per v3 task segment; small values force multiple
+    #: Max tasks per task segment; small values force multiple
     #: shards per configuration group, exercising shard-wise claiming.
     shard_size: int = 1024
 
@@ -214,8 +211,7 @@ def run_schedule(
     """Execute one schedule end to end and assert the queue contract."""
     queue_dir = tmp_path / f"chaos-{plan.seed}"
     store = QueueStore.submit(
-        spec, queue_dir, max_attempts=MAX_ATTEMPTS,
-        layout=plan.layout, shard_size=plan.shard_size,
+        spec, queue_dir, max_attempts=MAX_ATTEMPTS, shard_size=plan.shard_size,
     )
 
     # Lease expiry: ghosts claim tasks and vanish without heartbeating.

@@ -13,8 +13,6 @@ The ``smoke`` subset is what CI's dedicated chaos step runs
 (25 schedules) runs in the regular tier-1 suite.
 """
 
-import dataclasses
-
 import pytest
 
 from repro.campaign import execute_campaign
@@ -61,16 +59,6 @@ def test_chaos_schedule_smoke(seed, serial_result, tmp_path):
 @pytest.mark.parametrize("seed", FULL_SEEDS)
 def test_chaos_schedule(seed, serial_result, tmp_path):
     run_schedule(tmp_path, CHAOS_SPEC, serial_result, make_plan(seed, CHAOS_SPEC))
-
-
-@pytest.mark.smoke
-def test_chaos_schedule_on_legacy_v2_layout(serial_result, tmp_path):
-    # The whole adversarial contract must keep holding on a store
-    # submitted with the legacy per-task-file layout: v3 workers drain
-    # v2 queues (mutable state is layout-identical), and nothing in
-    # crash recovery, retries or collect regressed for existing queues.
-    plan = dataclasses.replace(make_plan(1, CHAOS_SPEC), layout=2)
-    run_schedule(tmp_path, CHAOS_SPEC, serial_result, plan)
 
 
 @pytest.mark.smoke

@@ -6,6 +6,8 @@ import pytest
 
 from repro.campaign import CampaignResult
 from repro.cli import main
+from repro.queue import QueueStore
+from repro.queue.store import DEFAULT_SHARD_SIZE
 
 from .conftest import queue_spec
 
@@ -66,3 +68,25 @@ def test_worker_on_unsubmitted_queue_fails_cleanly(tmp_path, capsys):
     code = main(["campaign", "worker", "--queue", str(tmp_path / "nope")])
     assert code == 2
     assert "not a submitted queue" in capsys.readouterr().err
+
+
+def test_submit_writes_task_segments(tmp_path, capsys):
+    queue = tmp_path / "q"
+    assert main(["campaign", "submit", "--queue", str(queue), "--scale", "tiny"]) == 0
+    assert "shard(s)" in capsys.readouterr().out
+    payload = json.loads((queue / "spec.json").read_text())
+    assert payload["version"] == 3
+    assert payload["shard_size"] == DEFAULT_SHARD_SIZE
+    assert list((queue / "tasks").glob("*.seg"))
+    assert not list((queue / "tasks").glob("*.json"))
+
+
+def test_submit_shard_size_flag_bounds_segments(tmp_path):
+    queue = tmp_path / "q"
+    assert main([
+        "campaign", "submit", "--queue", str(queue), "--scale", "tiny",
+        "--shard-size", "2",
+    ]) == 0
+    store = QueueStore(queue)
+    assert all(shard.count <= 2 for shard in store.shards())
+    assert json.loads(store.spec_path.read_text())["shard_size"] == 2

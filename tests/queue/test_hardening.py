@@ -17,6 +17,7 @@ from repro.queue import (
     iter_segment_records,
     run_worker,
     task_config,
+    task_id_for,
 )
 from repro.queue.collect import read_segment_footer
 
@@ -44,13 +45,21 @@ class TestTaskIdConfigDigest:
         for task in multi_store.iter_tasks():
             assert task_config(task.task_id) == config_digest(task.run.config_key)
 
-    def test_config_groups_are_contiguous_and_complete(self, multi_store):
-        groups = multi_store.config_groups()
-        assert len(groups) == 2  # one per preconditioner
-        flattened = [t for _, task_ids in groups for t in task_ids]
-        assert flattened == multi_store.task_ids()  # contiguous spans
-        for config, task_ids in groups:
-            assert {task_config(t) for t in task_ids} == {config}
+    def test_shards_are_contiguous_and_complete(self, multi_store):
+        # At the default shard size each configuration is one shard.
+        shards = multi_store.shards()
+        assert len({shard.config for shard in shards}) == len(shards) == 2
+        flattened = [
+            t for shard in shards for t in multi_store.shard_task_ids(shard)
+        ]
+        assert flattened == [  # contiguous spans, in expansion order
+            task_id_for(index, run)
+            for index, run in enumerate(expand_spec(multi_config_spec()))
+        ]
+        for shard in shards:
+            assert {
+                task_config(t) for t in multi_store.shard_task_ids(shard)
+            } == {shard.config}
 
     def test_malformed_task_id_rejected(self):
         with pytest.raises(ConfigurationError, match="malformed task id"):
@@ -150,8 +159,7 @@ class TestScanReuse:
             worker.run()
         finally:
             executor_module.run_one = real_run_one
-        n_groups = len(multi_store.config_groups())
-        assert scans == n_groups + 1
+        assert scans == len(multi_store.shards()) + 1
         assert seen == list(range(1, multi_store.n_tasks + 1))
 
 

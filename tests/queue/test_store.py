@@ -40,7 +40,7 @@ class TestSubmit:
         with pytest.raises(ConfigurationError, match="not a submitted queue"):
             QueueStore(tmp_path).task_ids()
 
-    def test_layout_version_checked(self, store):
+    def test_unknown_layout_refused(self, store):
         payload = json.loads(store.spec_path.read_text())
         payload["version"] = 999
         store.spec_path.write_text(json.dumps(payload))
@@ -100,6 +100,19 @@ class TestShardedLayout:
             assert shard is not None
             assert task_id in store.shard_task_ids(shard)
         assert store.shard_for_task("999999-abcdef-0123456789") is None
+        # Boundaries on a multi-shard store: each shard's first index
+        # and end_index - 1 land in it; the last shard's end_index and
+        # a malformed id land nowhere.
+        shards = store.shards()
+        assert len(shards) > 1
+        for shard in shards:
+            for index in (shard.first_index, shard.end_index - 1):
+                probe = f"{index:06d}-{shard.config}-0123456789"
+                assert store.shard_for_task(probe) == shard
+        assert store.shard_for_task(
+            f"{shards[-1].end_index:06d}-abcdef-0123456789"
+        ) is None
+        assert store.shard_for_task("not-a-task-id") is None
         counts = store.shard_terminal_counts(frozenset(ids[:3]))
         assert sum(counts.values()) == 3
 
