@@ -1,10 +1,10 @@
-"""Layout v2 → v3 compatibility: old stores, new workers, same bytes.
+"""Layout compatibility: the one task-store layout, reached two ways.
 
-The checked-in fixture queue (``tests/queue/fixtures/v2-queue``) was
-created by the layout-v2 ``submit`` (one JSON file per task) and is
-never regenerated: it pins the promise that a queue submitted before
-the sharded-segment layout stays claimable and collectable — with a
-byte-identical result — by every later worker.
+A queue is either submitted by the current ``submit`` (task segments,
+spec.json version 3) or converted from the frozen layout-2 fixture
+(``tests/queue/fixtures/v2-queue``, one JSON file per task) by
+``migrate``. Both must expose the same tasks, grouped into shards of a
+single config each.
 """
 
 from __future__ import annotations
@@ -15,11 +15,9 @@ import shutil
 
 import pytest
 
-from repro.campaign import execute_campaign
-from repro.queue import QueueStore, QueueWorker, collect
+from repro.cli import main
+from repro.queue import QueueStore
 from repro.queue.store import DEFAULT_SHARD_SIZE, task_config
-
-from .conftest import queue_spec
 
 pytestmark = [pytest.mark.campaign, pytest.mark.integration]
 
@@ -34,69 +32,27 @@ def v2_queue(tmp_path) -> pathlib.Path:
     return queue_dir
 
 
-class TestV2Fixture:
-    def test_fixture_really_is_layout_v2(self):
-        # Guards the fixture itself: regenerating it with a v3-default
-        # submit would silently stop testing compatibility.
-        payload = json.loads((FIXTURE / "spec.json").read_text())
-        assert payload["version"] == 2
-        assert "shards" not in payload
-        task_files = sorted((FIXTURE / "tasks").glob("*.json"))
-        assert len(task_files) == payload["n_tasks"] == 4
-        assert not list((FIXTURE / "tasks").glob("*.seg"))
-
-    def test_v2_store_opens_with_task_api_intact(self, v2_queue):
-        store = QueueStore(v2_queue)
-        assert store.layout_version == 2
-        ids = store.task_ids()
-        assert len(ids) == store.n_tasks
-        # The shard view is synthesised from the task listing, so the
-        # worker's shard-wise selection runs unchanged against v2.
-        shards = store.shards()
-        assert sum(shard.count for shard in shards) == store.n_tasks
-        assert [
-            task_id
-            for shard in shards
-            for task_id in store.shard_task_ids(shard)
-        ] == ids
-        for task_id in ids:
-            assert store.load_task(task_id).task_id == task_id
-
-    def test_v2_queue_drains_byte_identical_to_serial(self, v2_queue, tmp_path):
-        store = QueueStore(v2_queue)
-        serial = execute_campaign(store.spec, workers=0)
-        summary = QueueWorker(store, worker_id="v3worker").run()
-        assert summary.done == store.n_tasks
-        merged = collect(v2_queue)
-        a = serial.to_json(tmp_path / "serial.json")
-        b = merged.to_json(tmp_path / "collected.json")
-        assert a.read_bytes() == b.read_bytes()
-
-
 class TestLayoutEquivalence:
-    def test_both_layouts_expose_identical_tasks(self, tmp_path):
-        spec = queue_spec()
-        v2 = QueueStore.submit(spec, tmp_path / "v2", layout=2)
-        v3 = QueueStore.submit(spec, tmp_path / "v3", layout=3, shard_size=3)
-        assert v2.task_ids() == v3.task_ids()
-        assert v2.config_groups() == v3.config_groups()
-        for task_id in v2.task_ids():
-            assert v2.load_task(task_id) == v3.load_task(task_id)
-        assert [t.to_dict() for t in v2.iter_tasks()] == [
-            t.to_dict() for t in v3.iter_tasks()
+    def test_both_layouts_expose_identical_tasks(self, v2_queue, tmp_path):
+        # The per-task JSON files of the layout-2 fixture are the tasks
+        # the migrated store and a fresh submit of its spec both serve.
+        v2_tasks = [
+            json.loads(path.read_text())
+            for path in sorted((FIXTURE / "tasks").glob("*.json"))
         ]
-
-    def test_unsupported_layout_refused_at_submit(self, tmp_path):
-        from repro.exceptions import ConfigurationError
-
-        with pytest.raises(ConfigurationError, match="unsupported queue layout"):
-            QueueStore.submit(queue_spec(), tmp_path / "q", layout=1)
+        QueueStore.migrate(v2_queue)
+        migrated = QueueStore(v2_queue)
+        fresh = QueueStore.submit(migrated.spec, tmp_path / "v3", shard_size=3)
+        ids = [task["task_id"] for task in v2_tasks]
+        assert migrated.task_ids() == fresh.task_ids() == ids
+        for task_id in ids:
+            assert migrated.load_task(task_id) == fresh.load_task(task_id)
+        assert [t.to_dict() for t in migrated.iter_tasks()] == v2_tasks
+        assert [t.to_dict() for t in fresh.iter_tasks()] == v2_tasks
 
 
 class TestSubmitLayoutFlag:
     def _submit(self, queue_dir, *extra):
-        from repro.cli import main
-
         argv = [
             "campaign", "submit", "--queue", str(queue_dir),
             "--scale", "tiny", *extra,
@@ -105,25 +61,11 @@ class TestSubmitLayoutFlag:
 
     def test_default_submit_is_sharded_v3(self, tmp_path, capsys):
         self._submit(tmp_path / "q")
-        assert "layout v3" in capsys.readouterr().out
-        store = QueueStore(tmp_path / "q")
-        assert store.layout_version == 3
+        assert "shard(s)" in capsys.readouterr().out
+        payload = json.loads((tmp_path / "q" / "spec.json").read_text())
+        assert payload["version"] == 3
         assert list((tmp_path / "q" / "tasks").glob("*.seg"))
         assert not list((tmp_path / "q" / "tasks").glob("*.json"))
-
-    def test_layout_v2_flag_writes_legacy_store(self, tmp_path, capsys):
-        self._submit(tmp_path / "q", "--layout", "v2")
-        assert "layout v2" in capsys.readouterr().out
-        store = QueueStore(tmp_path / "q")
-        assert store.layout_version == 2
-        assert not list((tmp_path / "q" / "tasks").glob("*.seg"))
-        assert len(list((tmp_path / "q" / "tasks").glob("*.json"))) == store.n_tasks
-
-    def test_shard_size_flag_bounds_segments(self, tmp_path):
-        self._submit(tmp_path / "q", "--shard-size", "2")
-        store = QueueStore(tmp_path / "q")
-        assert all(shard.count <= 2 for shard in store.shards())
-        assert json.loads(store.spec_path.read_text())["shard_size"] == 2
 
     def test_shard_size_default_is_documented_value(self, tmp_path):
         self._submit(tmp_path / "q")
@@ -132,8 +74,11 @@ class TestSubmitLayoutFlag:
 
 
 def test_v2_task_config_matches_shard_config(v2_queue):
+    QueueStore.migrate(v2_queue)
     store = QueueStore(v2_queue)
-    for shard in store.shards():
+    shards = store.shards()
+    assert sum(shard.count for shard in shards) == store.n_tasks
+    for shard in shards:
         assert all(
             task_config(task_id) == shard.config
             for task_id in store.shard_task_ids(shard)
