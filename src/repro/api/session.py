@@ -30,22 +30,30 @@ preconditioner and reference stages took.
 Replay
 ------
 
-Some solves provably run the reference trajectory: the same iterates
-and reductions, only more bills.  These are failure-free ``reference``,
-``esr``, ``esrp`` and ``imcr`` solves, and ``imcr`` solves under
-fail-stop failures (a rollback or a restart re-runs iterations of the
-same trajectory).  The reference solve keeps the reductions it read
-(:attr:`~repro.solvers.engine.PCGEngine.reductions`; they are spooled
-with it).  A request is replayed when all of these hold:
+Many solves run the reference trajectory, wholly or up to a recovery.
+The built strategy says how much, given the request's fault events:
+:meth:`~repro.solvers.engine.ResilienceStrategy.replay_horizon`.
 
-* the built strategy's exact class is one of those four, so aliases
-  (``cr``, ``pcg``) count and subclasses (``lossy_imcr``) do not;
-* it has no ``x0``;
-* it has no fault events, or it is ``imcr`` and all of them are plain
-  ``node_failure`` events;
-* the reference for its (preconditioner, rtol) is already cached here.
-  ``with_reference=True`` caches it first, but a cold solve never
-  computes one just to replay.
+* ``None``, all of it: failure-free ``reference``, ``esr``, ``esrp``
+  and ``imcr`` (aliases ``pcg`` and ``cr`` included); ``imcr`` under
+  plain ``node_failure`` events (a rollback or a restart re-runs
+  iterations of the same trajectory); ``esr`` failing only in iteration
+  0 and ``esrp`` failing only in iterations ≤ T, which restart from x₀
+  and land back on the trajectory.
+* ``h > 0``, up to a recovery that reads vector contents of iteration h
+  on: ``esr`` under plain ``node_failure`` events reads from j₁ - 1,
+  ``esrp`` from kT, the first push of the last storage stage completed
+  by j₁ (j₁ the first failure after those that restart).
+* ``0``, none: ``lossy_imcr``, ``pv``/``pv_forward``, the baselines, any
+  SDC, churn or lossy-checkpoint event, and any strategy plugin that
+  does not override the hook.
+
+The reference solve keeps the reductions it read
+(:attr:`~repro.solvers.engine.PCGEngine.reductions`; they are spooled
+with it).  Nothing is replayed for a request with an ``x0``, or whose
+reference for its (preconditioner, rtol) is not cached here yet:
+``with_reference=True`` caches it first, but a cold solve never
+computes one just to replay.
 
 A cached reference has converged: a session solve that runs out of
 budget raises :class:`~repro.exceptions.ConvergenceError`, so a
@@ -65,11 +73,26 @@ reference's, ``backend`` still reads ``vectorized``, and
 replayed.  Each request replays its bills in full; no report is
 memoised.  A solve on any other backend runs for real, because a
 plugin (a timing wrapper, say) must see the real kernels.
+
+A request with a horizon h > 0 is *fast-forwarded* from a snapshot of
+the reference's state (x, r, z, p) entering some iteration s ≤ h:
+the twin replays the bills of iterations before s, loads the snapshot
+when the engine enters s, and ``vectorized`` computes the rest, so
+``x`` is computed, and ``replayed_iterations`` counts the loop bodies
+before s.  Snapshots live in :attr:`ReferenceTrajectory.snapshots`
+(memory only: the spool and its fingerprint do not change) at grid
+points, multiples of G = ⌈C/16⌉ below C, so at most 16 of 4·n·8 B per
+reference.  Each is captured by the first real solve to enter it: a
+solve with no snapshot at g = ⌊h/G⌋·G yet fast-forwards from the
+nearest one below (or runs from the start) and copies its state at g
+on the way (``setup_events["snapshot"]`` counts the copies).  A
+horizon below G fast-forwards nothing.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import math
 import os
@@ -86,14 +109,17 @@ from ..cluster.cost_model import CostModel
 from ..distribution.matrix import DistributedMatrix
 from ..distribution.partition import BlockRowPartition
 from ..exceptions import ConfigurationError
-from ..kernels.base import REDUCTION_CHUNK, flat_dot
-from ..kernels.replay import ReplayBackend
+from ..kernels.base import REDUCTION_CHUNK, KernelBackend, flat_dot
+from ..kernels.replay import ReplayBackend, Snapshot, SnapshotCapture
 from ..kernels.vectorized import VectorizedBackend
 from .registry import KERNELS
 from .request import SolveReport, SolveRequest
 
 #: Names the dot-product association in reference-spool fingerprints.
 REDUCTION_TAG = f"flat_dot/{REDUCTION_CHUNK}"
+
+#: Snapshot grid points per reference trajectory (see "Replay").
+SNAPSHOTS_PER_REFERENCE = 16
 
 #: Default spool directory for ``cache_dir=True`` (also the campaign
 #: CLI's ``--cache-dir`` default).
@@ -113,6 +139,11 @@ class ReferenceTrajectory:
     #: The reductions of the solve, in call order: b·b, r₀·z₀, then
     #: (p·Ap, r·z, r·r) per iteration (:mod:`repro.kernels.replay`).
     scalars: np.ndarray = dataclasses.field(repr=False, compare=False)
+    #: The state (x, r, z, p) entering iteration k, for the grid points
+    #: k that real solves captured so far (see "Replay"; never spooled).
+    snapshots: dict[int, Snapshot] = dataclasses.field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     @property
     def x_norm(self) -> float:
@@ -197,8 +228,9 @@ class SolverSession:
         #: served to requests with ``x0="previous"``.
         self._last_x: np.ndarray | None = None
         #: Counts of expensive setup work: ``"cluster"``, ``"matrix"``,
-        #: ``"preconditioner"``, ``"reference"`` (computed) and
-        #: ``"reference_disk"`` (loaded from the spool directory).
+        #: ``"preconditioner"``, ``"reference"`` (computed),
+        #: ``"reference_disk"`` (loaded from the spool directory) and
+        #: ``"snapshot"`` (reference states captured; see "Replay").
         self.setup_events: Counter[str] = Counter()
         #: Host seconds spent in the ``"matrix"``, ``"preconditioner"`` and
         #: ``"reference"`` stages, each exclusive of the others.  Wall
@@ -286,6 +318,19 @@ class SolverSession:
             self._record_setup("matrix", start)
         return self._dist_matrix
 
+    @property
+    def snapshot_footprint(self) -> dict[str, int]:
+        """Count and bytes of the reference-state snapshots held (see "Replay")."""
+        snapshots = [
+            snapshot
+            for reference in list(self._references.values())
+            for snapshot in list(reference.snapshots.values())
+        ]
+        return {
+            "count": len(snapshots),
+            "bytes": sum(a.nbytes for snapshot in snapshots for a in snapshot),
+        }
+
     def _record_setup(self, stage: str, start: float) -> None:
         """Count one ``stage`` set-up that began at ``perf_counter()`` ``start``."""
         self.setup_events[stage] += 1
@@ -346,10 +391,10 @@ class SolverSession:
 
         Returns the result and the reductions the engine read
         (:attr:`~repro.solvers.engine.PCGEngine.reductions`).  A solve
-        that would run on ``vectorized`` runs on a :class:`ReplayBackend`
-        instead when :meth:`_replay_source` finds its trajectory cached.
-        The engine never leaves this method, so the state vectors a
-        replay never computed are not handed out.
+        that would run on ``vectorized`` runs on the per-solve backend
+        of :meth:`_replay_backend` instead, if it has one.  The engine
+        never leaves this method, so the state vectors a replay never
+        computed are not handed out.
         """
         from ..core.strategies import make_strategy
         from ..solvers.engine import PCGEngine, SolveOptions
@@ -387,13 +432,15 @@ class SolverSession:
             failures=request.schedule(),
         )
         self.setup_events["solve"] += 1
-        source = None
-        if type(self.cluster.kernels) is VectorizedBackend:
-            source = self._replay_source(request, strategy, x0)
-        if source is not None:
+        backend = reference = None
+        if type(self.cluster.kernels) is VectorizedBackend and x0 is None:
+            reference = self._references.get((request.precond_key, request.rtol))
+        if reference is not None:
+            backend = self._replay_backend(request, strategy, reference)
+        if backend is not None:
             if restore_backend is None:
                 restore_backend = self.cluster.kernels
-            self.cluster.kernels = ReplayBackend(source.scalars)
+            self.cluster.kernels = backend
         try:
             result = engine.solve(x0=x0)
         finally:
@@ -403,39 +450,45 @@ class SolverSession:
             # return rather than at the next cyclic collection, which a
             # replayed solve, allocating few objects, triggers rarely.
             strategy.engine = None
-        if source is not None:
-            # x was never computed: hand out a private copy of the
-            # reference's bits.
-            result.x = source.x.copy()
-            result.replayed_iterations = result.executed_iterations
+        if isinstance(backend, ReplayBackend):
+            result.replayed_iterations = backend.replayed
+            if backend.resume is None:
+                # x was never computed: hand out a private copy of the
+                # reference's bits.
+                result.x = reference.x.copy()
         return result, engine.reductions
 
-    def _replay_source(
-        self, request: SolveRequest, strategy, x0: np.ndarray | None
-    ) -> ReferenceTrajectory | None:
-        """The cached trajectory ``request`` provably runs, if any.
+    def _replay_backend(
+        self, request: SolveRequest, strategy, reference: ReferenceTrajectory
+    ) -> KernelBackend | None:
+        """The per-solve backend that reuses ``request``'s cached ``reference``.
 
-        See "Replay" in the module docstring.  ``strategy`` is the built
-        one: its exact class decides, so aliases count and subclasses
-        (``lossy_imcr``) do not.
+        See "Replay" in the module docstring: a :class:`ReplayBackend`
+        (fast-forwarding from a snapshot when the horizon is finite), a
+        :class:`SnapshotCapture` when there is no snapshot to start
+        from but one to capture, or ``None``: run as usual.
         """
-        from ..cluster.failures import FailureEvent
-        from ..core.esr import ESRStrategy
-        from ..core.esrp import ESRPStrategy
-        from ..core.imcr import IMCRStrategy
-        from ..solvers.engine import NoResilience
+        horizon = strategy.replay_horizon(request.failures)
+        if horizon is None:
+            return ReplayBackend(reference.scalars)
+        stride = -(-reference.C // SNAPSHOTS_PER_REFERENCE)
+        grid = min(horizon, reference.C - 1) // stride * stride
+        if grid <= 0:
+            return None
+        snapshots = reference.snapshots
+        real = self.cluster.kernels
+        if grid not in snapshots:
+            real = SnapshotCapture(grid, functools.partial(self._keep_snapshot, reference))
+        start = max((k for k in snapshots if k <= grid), default=0)
+        if start == 0:
+            return real
+        return ReplayBackend(reference.scalars, resume=(start, snapshots[start], real))
 
-        kind = type(strategy)
-        if x0 is not None or kind not in (
-            NoResilience, ESRStrategy, ESRPStrategy, IMCRStrategy
-        ):
-            return None
-        if request.failures and not (
-            kind is IMCRStrategy
-            and all(type(event) is FailureEvent for event in request.failures)
-        ):
-            return None
-        return self._references.get((request.precond_key, request.rtol))
+    def _keep_snapshot(
+        self, reference: ReferenceTrajectory, iteration: int, snapshot: Snapshot
+    ) -> None:
+        reference.snapshots[iteration] = snapshot
+        self.setup_events["snapshot"] += 1
 
     def reference(
         self,

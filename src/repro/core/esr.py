@@ -15,7 +15,7 @@ from __future__ import annotations
 from ..cluster.failures import FailureEvent
 from ..distribution.aspmv import ASpMVExecutor, gather_redundant_copy
 from ..exceptions import ConfigurationError, IrrecoverableDataLossError
-from ..solvers.engine import ResilienceStrategy
+from ..solvers.engine import ResilienceStrategy, fail_stop_iterations
 from ..solvers.state import PCGState
 from .reconstruction import reconstruct_lost_state, require_reconstruction_support
 from .recovery import begin_recovery, end_recovery, fallback_restart
@@ -49,6 +49,16 @@ class ESRStrategy(ResilienceStrategy):
         self._aspmv.multiply_augmented(state.p, j, self.queue, out=state.rho)
 
     # ---------------------------------------------------------------- recovery
+
+    def replay_horizon(self, failures) -> int | None:
+        # A failure in iteration 0 restarts from x₀ (below), back onto
+        # the reference trajectory; a later one at j₁ reads the stashes
+        # of j₁ - 1 and j₁ and the survivors' state of j₁.
+        iterations = fail_stop_iterations(failures)
+        if iterations is None:
+            return 0
+        later = [j for j in iterations if j > 0]
+        return later[0] - 1 if later else None
 
     def recover(self, j: int, event: FailureEvent, state: PCGState) -> int:
         begin_recovery(self._engine, j, event, strategy=self.name)

@@ -31,7 +31,7 @@ from ..cluster.failures import FailureEvent
 from ..distribution.aspmv import ASpMVExecutor, gather_redundant_copy
 from ..events import EventKind
 from ..exceptions import ConfigurationError, IrrecoverableDataLossError
-from ..solvers.engine import ResilienceStrategy
+from ..solvers.engine import ResilienceStrategy, fail_stop_iterations
 from ..solvers.state import PCGState, STATE_VECTOR_NAMES
 from .reconstruction import reconstruct_lost_state, require_reconstruction_support
 from .recovery import begin_recovery, end_recovery, fallback_restart
@@ -135,6 +135,17 @@ class ESRPStrategy(ResilienceStrategy):
                 node.scalars[BETA_STAR] = node.scalars[BETA_DOUBLE_STAR]
 
     # ---------------------------------------------------------------- recovery
+
+    def replay_horizon(self, failures) -> int | None:
+        # Up to iteration T no storage stage has completed, so a failure
+        # restarts from x₀ (below), back onto the reference trajectory.
+        # A later one at j₁ rolls back to the last stage completed by
+        # then, kT + 1 ≤ j₁, and reads its pushes of kT and kT + 1.
+        iterations = fail_stop_iterations(failures)
+        if iterations is None:
+            return 0
+        later = [j for j in iterations if j > self.T]
+        return (later[0] - 1) // self.T * self.T if later else None
 
     def recover(self, j: int, event: FailureEvent, state: PCGState) -> int:
         engine = self._engine

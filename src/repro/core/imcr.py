@@ -27,7 +27,7 @@ from ..distribution.aspmv import RECOVERY_CHANNEL, eq1_destinations
 from ..distribution.spmv import SpMVExecutor
 from ..events import EventKind
 from ..exceptions import ConfigurationError
-from ..solvers.engine import ResilienceStrategy
+from ..solvers.engine import ResilienceStrategy, fail_stop_iterations
 from ..solvers.state import PCGState, STATE_VECTOR_NAMES
 
 from .recovery import begin_recovery, end_recovery, fallback_restart
@@ -122,6 +122,11 @@ class IMCRStrategy(ResilienceStrategy):
         )
 
     # ---------------------------------------------------------------- recovery
+
+    def replay_horizon(self, failures) -> int | None:
+        # A rollback or a restart re-runs iterations of the reference
+        # trajectory from an exact copy of its state.
+        return None if fail_stop_iterations(failures) is not None else 0
 
     def recover(self, j: int, event: FailureEvent, state: PCGState) -> int:
         engine = self._engine

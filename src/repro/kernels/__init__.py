@@ -23,7 +23,9 @@ count and every BLAS thread count.
 :mod:`repro.kernels.replay` holds an unregistered per-solve twin of
 it that a :class:`~repro.api.session.SolverSession` uses to replay a
 solve that stays on a cached reference trajectory: it makes the
-solve's bills without its arithmetic.
+solve's bills without its arithmetic.  It also fast-forwards a failure
+solve up to a snapshot of the reference's state, which
+``SnapshotCapture``, ``vectorized`` plus one state copy, takes.
 
 What pins it (full statement in :mod:`repro.kernels.base`):
 

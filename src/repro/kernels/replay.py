@@ -22,22 +22,70 @@ the recording, for the iteration the engine last announced through
 :meth:`~repro.kernels.base.KernelBackend.enter_iteration`: a rollback
 or a restart announces the iteration it resumes at, and re-reads that
 iteration's scalars.
+
+An ESR/ESRP solve under failures runs the reference trajectory only up
+to its first recovery, which reads stored vector contents from some
+iteration h on (:meth:`~repro.solvers.engine.ResilienceStrategy.replay_horizon`).
+It is *fast-forwarded*: a :class:`ReplayBackend` given a ``resume``
+point s ≤ h replays the bills up to iteration s, then, when the engine
+announces s, copies a snapshot of the reference's state there (x, r, z,
+p) into the engine's vectors and hands the cluster to a real backend,
+which computes everything from s on.  The snapshots come from real
+solves: :class:`SnapshotCapture` is ``vectorized`` plus a copy of the
+state entering one chosen iteration.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from ..cluster.cost_model import BYTES_PER_FLOAT
+from ..solvers.state import STATE_VECTOR_NAMES
+from .base import KernelBackend
 from .vectorized import VectorizedBackend
+
+#: The state (x, r, z, p) entering one iteration, as flat arrays.
+Snapshot = tuple[np.ndarray, ...]
+
+
+class SnapshotCapture(VectorizedBackend):
+    """``vectorized`` that hands a copy of the state entering ``at`` to ``keep``.
+
+    Only the first arrival counts: a solve on the reference trajectory
+    can only come back to ``at`` by a restart, which reaches the same
+    state again.
+    """
+
+    def __init__(self, at: int, keep: Callable[[int, Snapshot], None]) -> None:
+        self._at = at
+        self._keep = keep
+
+    def enter_iteration(self, j, state) -> None:
+        if j == self._at and self._keep is not None:
+            self._keep(j, tuple(
+                state.vector(name).data.copy() for name in STATE_VECTOR_NAMES
+            ))
+            self._keep = None
 
 
 class ReplayBackend(VectorizedBackend):
-    """Bill-only ``vectorized`` answering reductions from a recording."""
+    """Bill-only ``vectorized`` answering reductions from a recording.
 
-    def __init__(self, scalars: np.ndarray) -> None:
+    ``resume=(s, snapshot, backend)`` fast-forwards: when the engine
+    announces iteration s (s > 0), the backend loads ``snapshot`` into
+    the state and installs ``backend`` on the cluster in its place.
+    """
+
+    def __init__(
+        self,
+        scalars: np.ndarray,
+        resume: tuple[int, Snapshot, KernelBackend] | None = None,
+    ) -> None:
+        self.resume = resume
+        #: Loop bodies replayed so far (one ``cg_update`` each).
+        self.replayed = 0
         values = np.asarray(scalars, dtype=np.float64).tolist()
         self._bb = values[0]
         #: r·z at the start of iteration k (k = 0 .. C).
@@ -51,6 +99,13 @@ class ReplayBackend(VectorizedBackend):
         self._stash_cache: dict[int, list] = {}
 
     def enter_iteration(self, j, state) -> None:
+        if self.resume is not None and j == self.resume[0]:
+            _, snapshot, backend = self.resume
+            for name, values in zip(STATE_VECTOR_NAMES, snapshot):
+                state.vector(name).data[:] = values
+            state.x.cluster.kernels = backend
+            backend.enter_iteration(j, state)
+            return
         self._j = j
         self._state = state
 
@@ -102,6 +157,7 @@ class ReplayBackend(VectorizedBackend):
         rz_new = self._rz[j + 1]
         beta = rz_new / rz_old if rz_old != 0.0 else 0.0
         cluster.charge_compute(profile2)
+        self.replayed += 1
         return rz_new, self._rr[j], beta
 
     # ----------------------------------------------------------------- SpMV

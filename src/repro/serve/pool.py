@@ -130,6 +130,11 @@ class SessionPool:
                 "slot_setup_seconds": {
                     key: dict(s.setup_seconds) for key, s in built.items()
                 },
+                # ... and the reference-state snapshots it keeps for
+                # fast-forwarded solves (count and bytes).
+                "slot_snapshots": {
+                    key: s.snapshot_footprint for key, s in built.items()
+                },
                 "hits": self.hits,
                 "misses": self.misses,
                 "evictions": self.evictions,

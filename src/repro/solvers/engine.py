@@ -28,7 +28,7 @@ import abc
 import dataclasses
 import time
 from array import array
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -105,7 +105,9 @@ class SolveResult:
     #: Name of the compute-kernel backend that executed the numerics.
     backend: str = ""
     #: Loop bodies whose arithmetic was replayed from a cached reference
-    #: (:mod:`repro.kernels.replay`) rather than computed; 0 for a real
+    #: (:mod:`repro.kernels.replay`) rather than computed: all of them
+    #: for a replayed solve, those before the state snapshot it resumed
+    #: from for a fast-forwarded one (restarts included), 0 for a real
     #: solve.  Host-side provenance like ``wall_time``: in no report
     #: dict, digest or record.
     replayed_iterations: int = 0
@@ -163,6 +165,21 @@ class ResilienceStrategy(abc.ABC):
     def recover(self, j: int, event: FailureEvent, state: PCGState) -> int:
         """Restore a consistent state; return the iteration to resume at."""
 
+    # -- replay (see "Replay" in repro.api.session) ------------------------------
+
+    def replay_horizon(self, failures: Sequence) -> int | None:
+        """How much of a solve from x₀ = 0 under ``failures`` is the reference's.
+
+        * ``None``: all of it.  The iterates and reductions are the
+          reference PCG trajectory's; only the bills differ.
+        * ``h > 0``: the solve runs the reference trajectory until a
+          recovery, which reads vector contents (stashes, copies, the
+          survivors' blocks) of iteration ``h`` or later, and nothing
+          older.
+        * ``0`` (this default): no promise; the solve runs for real.
+        """
+        return 0
+
     # -- shared helpers ---------------------------------------------------------
 
     @property
@@ -185,6 +202,21 @@ class NoResilience(ResilienceStrategy):
 
     def recover(self, j: int, event: FailureEvent, state: PCGState) -> int:
         raise NodeFailureError(j, event.ranks)
+
+    def replay_horizon(self, failures: Sequence) -> int | None:
+        return 0 if failures else None
+
+
+def fail_stop_iterations(failures: Sequence) -> list[int] | None:
+    """Sorted iterations of ``failures`` if every one is a plain node failure.
+
+    ``None`` when any event is of another kind (a subclass such as a
+    churn departure, or a silent corruption), whose effect on the
+    trajectory a replay horizon does not model.
+    """
+    if any(type(event) is not FailureEvent for event in failures):
+        return None
+    return sorted(event.iteration for event in failures)
 
 
 class PCGEngine:

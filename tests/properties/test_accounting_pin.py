@@ -9,6 +9,9 @@ must report exactly the iteration counts, simulated times and
 per-channel statistics stored in ``accounting_pin.json``.  The noise
 makes the simulated clock depend on the order in which charges draw
 from the cost-noise RNG, so equality also pins the charge sequence.
+Each worst-case ``esr``/``esrp`` cell is solved twice, once capturing a
+snapshot of the reference's state and once fast-forwarded from it (see
+"Replay" in :mod:`repro.api.session`); both must match the pin.
 
 The file was recorded while a per-rank reference backend still existed
 beside the fused one, with both required to agree; no solution bits are
@@ -47,14 +50,20 @@ CELLS = (
     ("imcr", 5, "worst_case"),
 )
 FIELDS = ("iterations", "executed_iterations", "modeled_time", "recovery_time", "stats")
+#: Cells solved twice: capturing, then fast-forwarded.
+FAST_FORWARDED = {("esr", "worst_case"), ("esrp", "worst_case")}
 
 
 def cell_key(preconditioner: str, strategy: str, T: int, scenario: str) -> str:
     return f"{preconditioner}/{strategy}/T={T}/{scenario}"
 
 
-def solve_cells(backend: str | None = None) -> dict[str, dict]:
-    """Every pinned cell's accounting fields, keyed by :func:`cell_key`."""
+def solve_cells(backend: str | None = None, repeats: dict | None = None) -> dict[str, dict]:
+    """Every pinned cell's accounting fields, keyed by :func:`cell_key`.
+
+    A :data:`FAST_FORWARDED` cell is solved twice; the second solve's
+    fields and replayed iteration count go to ``repeats`` if given.
+    """
     matrix = poisson_2d(8)
     b = matrix @ np.random.default_rng(42).standard_normal(matrix.shape[0])
     session = repro.SolverSession(
@@ -69,21 +78,34 @@ def solve_cells(backend: str | None = None) -> dict[str, dict]:
                 reference_iterations=reference.C, seed=SEED,
             )
             failures = generate_schedule(ScenarioSpec.make(scenario), ctx)
-            report = session.solve(repro.SolveRequest(
+            request = repro.SolveRequest(
                 strategy=strategy, T=T, phi=1, preconditioner=preconditioner,
                 failures=failures,
-            ))
-            data = report.to_dict()
-            records[cell_key(preconditioner, strategy, T, scenario)] = {
-                name: data[name] for name in FIELDS
-            }
+            )
+            key = cell_key(preconditioner, strategy, T, scenario)
+            if (strategy, scenario) in FAST_FORWARDED:
+                reference.snapshots.clear()  # so the first solve captures
+            records[key] = _fields(session.solve(request))
+            if (strategy, scenario) in FAST_FORWARDED and repeats is not None:
+                again = session.solve(request)
+                repeats[key] = (_fields(again), again.result.replayed_iterations)
+    return records
+
+
+def _fields(report: repro.SolveReport) -> dict:
+    data = report.to_dict()
     # A JSON round trip, so a fresh solve compares like the stored file.
-    return json.loads(json.dumps(records, sort_keys=True))
+    return json.loads(json.dumps({name: data[name] for name in FIELDS}, sort_keys=True))
 
 
 @pytest.fixture(scope="module")
-def solved():
-    return solve_cells()
+def repeats():
+    return {}
+
+
+@pytest.fixture(scope="module")
+def solved(repeats):
+    return solve_cells(repeats=repeats)
 
 
 @pytest.fixture(scope="module")
@@ -98,10 +120,14 @@ def test_pin_covers_every_cell(pinned):
 
 
 @pytest.mark.parametrize("preconditioner", PRECONDITIONERS)
-def test_accounting_matches_recorded_pin(solved, pinned, preconditioner):
+def test_accounting_matches_recorded_pin(solved, repeats, pinned, preconditioner):
     for cell in CELLS:
         key = cell_key(preconditioner, *cell)
         assert solved[key] == pinned[key], key
+        if key in repeats:
+            fields, replayed = repeats[key]
+            assert fields == pinned[key], key
+            assert 0 < replayed < fields["executed_iterations"], key
 
 
 if __name__ == "__main__":

@@ -189,6 +189,27 @@ class TestStamps:
         assert replayed["response_digest"] == real["response_digest"]
         assert answer(replayed) == answer(real)
 
+    def test_fast_forwarded_reply_shares_the_digest_and_shows_in_stats(self):
+        from repro import FailureEvent
+
+        failing = dict(strategy="esr", failures=[FailureEvent(30, (1,))])
+        real = SolverService(pool_size=1).solve(serve_request(**failing))
+        assert real["timing"]["replayed_iterations"] == 0
+
+        warm = SolverService(pool_size=1)
+        warm.solve(serve_request(strategy="esr", with_reference=True))
+        capturing = warm.solve(serve_request(**failing))
+        fast = warm.solve(serve_request(**failing))
+        assert capturing["timing"]["replayed_iterations"] == 0
+        assert 0 < fast["timing"]["replayed_iterations"] < fast["report"]["executed_iterations"]
+        assert capturing["response_digest"] == fast["response_digest"] == real["response_digest"]
+
+        pool = warm.stats()["pool"]
+        (key,) = pool["sessions"]
+        session = warm.pool.acquire(key, None)[0].session
+        assert pool["slots"][key]["snapshot"] == 1
+        assert pool["slot_snapshots"][key] == {"count": 1, "bytes": 4 * session.n * 8}
+
     def test_wall_time_lives_outside_the_digest(self):
         service = SolverService(pool_size=1)
         reply = service.solve(serve_request())
