@@ -211,14 +211,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "(same contract as 'campaign run --cache-dir')")
     worker_cmd.add_argument("--quiet", action="store_true",
                             help="suppress per-task progress/ETA lines")
-    worker_cmd.add_argument("--no-affine", action="store_false", dest="affine",
-                            help="claim tasks in plain scan order instead of "
-                            "configuration-affine chunks")
-    worker_cmd.add_argument("--compact-every", type=int, default=None,
-                            metavar="N",
-                            help="fold the spool shard into a compacted "
-                            "segment every N completed records "
-                            "(default: 256; 0 disables compaction)")
 
     retry_cmd = campaign_sub.add_parser(
         "retry",
@@ -425,7 +417,6 @@ def _cmd_campaign_queue(args: argparse.Namespace) -> int:
         DEFAULT_RETRY_BACKOFF,
         DEFAULT_TTL,
     )
-    from .queue.worker import DEFAULT_COMPACT_EVERY
 
     if args.campaign_command == "submit":
         spec = _campaign_spec_from_args(args)
@@ -476,10 +467,6 @@ def _cmd_campaign_queue(args: argparse.Namespace) -> int:
         ttl = args.ttl if args.ttl is not None else DEFAULT_TTL
         progress = None if args.quiet else _worker_progress_printer(worker_id)
         cache_dir = os.path.expanduser(args.cache_dir) if args.cache_dir else None
-        if args.compact_every is None:
-            compact_every = DEFAULT_COMPACT_EVERY
-        else:
-            compact_every = args.compact_every if args.compact_every > 0 else None
         print(f"worker {worker_id} draining {args.queue} (ttl={ttl:g}s) ...",
               flush=True)
         summary = run_worker(
@@ -490,8 +477,6 @@ def _cmd_campaign_queue(args: argparse.Namespace) -> int:
             wait=args.wait,
             cache_dir=cache_dir,
             progress=progress,
-            affine=args.affine,
-            compact_every=compact_every,
         )
         print(f"worker {worker_id}: {summary.done} done, "
               f"{summary.retried} retried, {summary.failed} dead-lettered, "
@@ -624,8 +609,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
           f"(pool={pool.capacity}, max_batch={server.service.max_batch})",
           flush=True)
     if args.load:
-        # Self-test: a config-skewed load run against our own endpoint,
-        # mirroring what benchmarks/bench_serve.py gates in CI.
+        # Self-test: a config-skewed load run against our own endpoint.
         payloads = [
             ServeRequest(
                 request=SolveRequest(

@@ -1,11 +1,10 @@
 """Concurrent load driver for a running solver service.
 
-Used three ways: by ``repro serve --load`` (self-test a freshly
-started server), by ``benchmarks/bench_serve.py`` (the latency /
-throughput / pool-hit-rate gates) and by the serve tests.  It is a
-plain ``urllib`` + thread-pool client on purpose: it exercises the
-real HTTP path with zero extra dependencies, and a handful of threads
-is plenty to saturate a pool of tiny-problem sessions.
+Used by ``repro serve --load`` (self-test a freshly started server)
+and by the serve tests.  It is a plain ``urllib`` + thread-pool client
+on purpose: it exercises the real HTTP path with zero extra
+dependencies, and a handful of threads is plenty to saturate a pool of
+tiny-problem sessions.
 
 Besides latency percentiles and request rate, :func:`run_load` checks
 the serve contract itself: every 200-reply must verify against its

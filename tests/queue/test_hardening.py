@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.campaign import execute_campaign
+from repro.campaign import StrategySpec, execute_campaign
 from repro.campaign.spec import expand_spec
 from repro.exceptions import ConfigurationError
 from repro.queue import (
@@ -123,6 +123,94 @@ class TestAffineClaiming:
         expected = serial.to_json(tmp_path / "serial.json").read_bytes()
         assert paths["affine"].read_bytes() == expected
         assert paths["scan"].read_bytes() == expected
+
+
+def affinity_spec(repetitions):
+    """2 problems x 2 preconditioners -> 4 configuration groups, 8 tasks
+    per repetition (failure-free + worst-case per group)."""
+    return queue_spec(
+        name="queue-affinity",
+        problems=(("emilia_923_like", "tiny"), ("poisson3d", "tiny")),
+        n_nodes=8,
+        preconditioners=("block_jacobi", "jacobi"),
+        strategies=(StrategySpec("esr"),),
+        repetitions=repetitions,
+    )
+
+
+def config_spread(store: QueueStore) -> int:
+    """Total (worker, configuration) warm-ups paid during the drain."""
+    per_worker: dict[str, set[str]] = {}
+    for outcome in store.outcomes():
+        if outcome.status == "done":
+            per_worker.setdefault(outcome.worker_id, set()).add(
+                task_config(outcome.task_id)
+            )
+    return sum(len(configs) for configs in per_worker.values())
+
+
+class TestAffinitySpread:
+    @staticmethod
+    def alternating_drain(store, affine):
+        """Two workers in strict turns; each holds its lease across the
+        other's turn, then completes it and claims the next task."""
+        workers = [
+            QueueWorker(store, worker_id=f"w{i}", ttl=600, affine=affine)
+            for i in (1, 2)
+        ]
+        held = [None, None]
+        while True:
+            for turn, worker in enumerate(workers):
+                if held[turn] is not None:
+                    task = held[turn]
+                    shard = store.append_record(
+                        worker.worker_id, fake_record(task)
+                    )
+                    store.complete(task, worker.worker_id, shard)
+                held[turn] = worker._next_task()
+            if held == [None, None]:
+                break
+        assert store.status().drained
+        return config_spread(store)
+
+    def test_two_workers_warm_each_configuration_once(self, tmp_path):
+        spec = affinity_spec(1)
+        n_configs = len({run.config_key for run in expand_spec(spec)})
+        assert (n_configs, len(expand_spec(spec))) == (4, 8)
+        spreads = {
+            mode: self.alternating_drain(
+                QueueStore.submit(spec, tmp_path / mode), affine
+            )
+            for mode, affine in (("affine", True), ("scan", False))
+        }
+        # Exact pins, not the bound n_configs + 2 * (workers - 1) = 6:
+        # a drain without foreign-config avoidance can read 5.
+        assert spreads == {"affine": n_configs, "scan": 2 * n_configs}
+
+
+class TestClaimScanCost:
+    @pytest.mark.parametrize("n_tasks, n_shards", [(1000, 4), (5000, 8)])
+    def test_claims_read_one_shard_footer(
+        self, tmp_path, monkeypatch, n_tasks, n_shards
+    ):
+        queue_dir = tmp_path / "queue"
+        QueueStore.submit(affinity_spec(n_tasks // 8), queue_dir)
+        calls = {"_shard_footer": 0, "shard_task_ids": 0}
+        for name in calls:
+            original = getattr(QueueStore, name)
+
+            def counting(self, shard, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(self, shard)
+
+            monkeypatch.setattr(QueueStore, name, counting)
+        store = QueueStore(queue_dir)
+        assert (store.n_tasks, len(store.shards())) == (n_tasks, n_shards)
+        worker = QueueWorker(store, worker_id="probe", ttl=600)
+        claimed = [worker._next_task() for _ in range(64)]
+        assert all(task is not None for task in claimed)
+        # O(shards) selection: only the chosen shard's ids are loaded.
+        assert calls == {"_shard_footer": 1, "shard_task_ids": 1}
 
 
 class TestScanReuse:

@@ -123,6 +123,29 @@ class TestConcurrentLoad:
         assert report.p50_latency > 0.0
         assert report.p99_latency >= report.p50_latency
 
+    def test_one_slot_pool_churns_and_stays_consistent(self, tmp_path):
+        # Two problems alternating onto a one-slot pool: every switch
+        # evicts, and each request fingerprint is sent twice, so the
+        # digest check compares replies built by different sessions.
+        problems = ("emilia_923_like", "audikw_1_like")
+        payloads = [
+            ServeRequest(
+                problem=problems[i % 2],
+                request=SolveRequest(
+                    strategy="esrp" if i % 4 >= 2 else "esr", T=10, phi=1
+                ),
+            ).to_dict()
+            for i in range(8)
+        ]
+        with SolverServer(
+            pool_size=1, cache_dir=tmp_path, verbose=False
+        ) as churning:
+            report = run_load(churning.url, payloads, clients=2)
+        assert report.ok == 8
+        assert report.errors == 0
+        assert report.digests_consistent
+        assert report.pool["evictions"] >= 1
+
 
 class TestSharedSlot:
     def test_interleaved_preconditioners_match_the_serial_order(self):
