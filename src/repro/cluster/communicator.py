@@ -27,7 +27,7 @@ Clock semantics (a postal model):
 from __future__ import annotations
 
 import weakref
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 import numpy as np
 
@@ -73,6 +73,9 @@ class VirtualCluster:
         #: Compiled full-length (seconds, amounts) vectors per charge profile.
         self._compiled_charges: dict[tuple, tuple] = {}
         self._compiled_memcpys: dict[tuple, tuple] = {}
+        #: Phases compiled once per cluster under a caller's key
+        #: (:meth:`compiled_exchange`).
+        self._compiled_exchanges: dict[tuple, CompiledExchange] = {}
         #: Model cost of a whole-cluster allreduce, per payload size.
         self._allreduce_costs: dict[int, float] = {}
         #: Compute-kernel backend spec; resolved lazily on first access
@@ -378,55 +381,71 @@ class VirtualCluster:
         """Precompute the full effect of one fixed :meth:`exchange` phase.
 
         For message lists that never change — an SpMV halo exchange, the
-        ASpMV redundancy phase — the per-message accounting (hop
-        lookups, cost-model evaluation, statistics bumps) is identical
-        every iteration.  This compiles it once into per-rank clock and
-        statistics deltas; :meth:`exchange_compiled` then applies them
-        in O(ranks) instead of O(messages).  Costs are accumulated at
-        compile time in exactly the per-message order of
-        :meth:`exchange`, so the resulting clocks are bit-identical.
+        ASpMV redundancy phase, an IMCR checkpoint round — the
+        per-message accounting (hop lookups, cost-model evaluation,
+        statistics bumps) is identical every time.  This compiles it
+        once into a :class:`CompiledExchange`: per-sender cost totals,
+        a flattened arrival list and full-length statistics deltas, so
+        :meth:`exchange_compiled` applies the phase with a fixed number
+        of whole-array operations, whatever the node and message count.
+        Costs are accumulated at compile time in exactly the
+        per-message order of :meth:`exchange`, so the resulting clocks
+        are bit-identical.
 
         The compiled form is only valid for this cluster's cost model
         and topology (both immutable for a cluster's lifetime).
         """
         return CompiledExchange(self, tuple(messages), tuple(piggyback))
 
+    def compiled_exchange(
+        self, key: tuple, messages: "Callable[[], Iterable[tuple]]"
+    ) -> "CompiledExchange":
+        """``compile_exchange(messages())``, compiled once per ``key``.
+
+        For a phase whose message list is fixed per cluster but built
+        by objects that live for one solve (an IMCR checkpoint round:
+        the strategy is built per request), so the compiled form must
+        outlive them.  ``key`` must determine the message list.
+        """
+        compiled = self._compiled_exchanges.get(key)
+        if compiled is None:
+            compiled = self.compile_exchange(messages())
+            self._compiled_exchanges[key] = compiled
+        return compiled
+
     def exchange_compiled(self, compiled: "CompiledExchange") -> None:
         """Apply a :meth:`compile_exchange` phase.
 
         Equivalent — clocks, statistics, liveness errors, RNG draws —
-        to ``exchange(compiled.messages, compiled.piggyback)``.  Falls
+        to ``exchange(compiled.messages, compiled.piggyback)``.  Every
+        sender adds its precompiled total to its clock once (each
+        sender appears once in ``send_ranks``), every receiver takes
+        the max of its clock and its senders' finishes
+        (``np.maximum.reduceat`` over the flattened arrival list; max
+        is exact), and the statistics take whole-vector adds.  Falls
         back to the generic path when cost noise is enabled (every
-        message must draw from the RNG in order) or any involved node
-        is dead (to reproduce the partial-accounting-then-raise
-        semantics of the per-message loop exactly).
+        message must draw from the RNG in order) or any node is dead
+        (to reproduce the partial-accounting-then-raise semantics of
+        the per-message loop exactly).
         """
-        sends = compiled.sends
-        if not sends:
+        if compiled.empty:
             return
         if self.cost_model.noise != 0.0 or self._dead_count:
             self.exchange(compiled.messages, piggyback=compiled.piggyback)
             return
         clocks = self.clocks
-        finishes = {}
-        for src, total in sends:
-            finish = clocks[src] + total
-            clocks[src] = finish
-            finishes[src] = finish
-        for dst, srcs in compiled.arrivals:
-            latest = finishes[srcs[0]]
-            for src in srcs[1:]:
-                candidate = finishes[src]
-                if candidate > latest:
-                    latest = candidate
-            if latest > clocks[dst]:
-                clocks[dst] = latest
+        send_ranks = compiled.send_ranks
+        finish = clocks[send_ranks]
+        finish += compiled.send_totals
+        clocks[send_ranks] = finish
+        dsts = compiled.arrival_dsts
+        latest = np.maximum.reduceat(finish[compiled.arrival_pos], compiled.arrival_starts)
+        clocks[dsts] = np.maximum(clocks[dsts], latest)
         stats = self.stats
-        ranks = compiled.ranks
-        stats.bytes_sent[ranks] += compiled.sent_deltas
-        stats.bytes_received[ranks] += compiled.received_deltas
-        stats.messages_sent[ranks] += compiled.message_deltas
-        for channel, (total_bytes, count) in compiled.channel_deltas:
+        stats.bytes_sent += compiled.sent_deltas
+        stats.bytes_received += compiled.received_deltas
+        stats.messages_sent += compiled.message_deltas
+        for channel, total_bytes, count in compiled.channel_deltas:
             totals = stats.channels[channel]
             totals.bytes += total_bytes
             totals.messages += count
@@ -446,7 +465,7 @@ class VirtualCluster:
             if self.cost_model.noise != 0.0:
                 cost = self._charge(cost)
             clocks = self.clocks
-            clocks.fill(clocks.max() + cost)
+            clocks.fill(np.maximum.reduce(clocks) + cost)
             self.stats.record_collective(nbytes)
             return
         group = tuple(ranks) if ranks is not None else self.alive_ranks()
@@ -487,10 +506,19 @@ class VirtualCluster:
         self.clocks[rank] += seconds
 
     def snapshot_redundancy_footprint(self) -> None:
-        """Record the current per-node redundant-memory footprint."""
-        for node in self.nodes:
-            if node.alive:
-                self.stats.record_redundancy_footprint(node.rank, node.redundancy_bytes())
+        """Record the current per-node redundant-memory footprint.
+
+        Reads each alive node's running
+        :attr:`~repro.cluster.node.NodeState.redundancy_nbytes` and
+        raises the per-rank peaks in one whole-vector max.
+        """
+        held = np.fromiter(
+            (node.redundancy_nbytes if node.alive else 0 for node in self.nodes),
+            dtype=np.int64,
+            count=self.n_nodes,
+        )
+        peaks = self.stats.redundancy_peak_bytes
+        np.maximum(peaks, held, out=peaks)
 
     # ------------------------------------------------------------------ faults
 
@@ -575,30 +603,37 @@ class CompiledExchange:
     """Precompiled effect of one fixed concurrent communication phase.
 
     Built by :meth:`VirtualCluster.compile_exchange` for message lists
-    that repeat every iteration.  Holds the original message tuples
-    (for the noise/failure fallback) plus the precomputed per-rank
-    clock and statistics deltas:
+    that repeat (every iteration, every checkpoint).  Holds the original
+    message tuples (for the noise/failure fallback) plus the phase as
+    arrays that :meth:`VirtualCluster.exchange_compiled` applies whole:
 
-    * ``sends`` — ``(src, total_cost)`` with the per-source message
-      costs accumulated in the exact per-message order of
-      :meth:`VirtualCluster.exchange` (floating-point order matters);
-    * ``arrivals`` — ``(dst, (src, ...))`` receiver dependencies;
-    * ``ranks`` / ``sent_deltas`` / ``received_deltas`` /
-      ``message_deltas`` — aligned arrays of exact integer statistics
-      bumps for the involved ranks;
-    * ``channel_deltas`` — ``(channel, (bytes, messages))`` bumps.
+    * ``send_ranks`` / ``send_totals`` — each sender once, in first-send
+      order, with its message costs summed in the exact per-message
+      order of :meth:`VirtualCluster.exchange` (floating-point order
+      matters);
+    * ``arrival_dsts`` — each receiver once; ``arrival_pos`` — the
+      positions in ``send_ranks`` of every receiver's senders, receiver
+      after receiver, each run starting at ``arrival_starts``;
+    * ``sent_deltas`` / ``received_deltas`` / ``message_deltas`` —
+      full-length (one entry per rank, zero if uninvolved) exact int64
+      statistics bumps;
+    * ``channel_deltas`` — ``(channel, bytes, messages)`` bumps;
+    * ``empty`` — the phase has no message at all.
     """
 
     __slots__ = (
         "messages",
         "piggyback",
-        "sends",
-        "arrivals",
-        "channel_deltas",
-        "ranks",
+        "empty",
+        "send_ranks",
+        "send_totals",
+        "arrival_dsts",
+        "arrival_pos",
+        "arrival_starts",
         "sent_deltas",
         "received_deltas",
         "message_deltas",
+        "channel_deltas",
     )
 
     def __init__(
@@ -611,12 +646,13 @@ class CompiledExchange:
         self.piggyback = piggyback
         cost_model = cluster.cost_model
         topology = cluster.topology
+        n_nodes = cluster.n_nodes
 
         send_time: dict[int, float] = {}
         arrivals: dict[int, list[int]] = {}
-        bytes_sent: dict[int, int] = {}
-        bytes_received: dict[int, int] = {}
-        message_counts: dict[int, int] = {}
+        sent = np.zeros(n_nodes, dtype=np.int64)
+        received = np.zeros(n_nodes, dtype=np.int64)
+        message_counts = np.zeros(n_nodes, dtype=np.int64)
         channels: dict[str, list[int]] = {}
 
         def add(src: int, dst: int, nbytes: int, channel: str, merged: bool) -> None:
@@ -626,13 +662,13 @@ class CompiledExchange:
                 cost = cost_model.payload_time(nbytes)
             else:
                 cost = cost_model.message_time(nbytes, topology.hops(src, dst))
-                message_counts[src] = message_counts.get(src, 0) + 1
+                message_counts[src] += 1
             send_time[src] = send_time.get(src, 0.0) + cost
             dst_sources = arrivals.setdefault(dst, [])
             if src not in dst_sources:
                 dst_sources.append(src)
-            bytes_sent[src] = bytes_sent.get(src, 0) + int(nbytes)
-            bytes_received[dst] = bytes_received.get(dst, 0) + int(nbytes)
+            sent[src] += int(nbytes)
+            received[dst] += int(nbytes)
             totals = channels.setdefault(channel, [0, 0])
             totals[0] += int(nbytes)
             if not merged:
@@ -643,19 +679,19 @@ class CompiledExchange:
         for src, dst, nbytes, channel in piggyback:
             add(src, dst, nbytes, channel, True)
 
-        self.sends = tuple(send_time.items())
-        self.arrivals = tuple((dst, tuple(srcs)) for dst, srcs in arrivals.items())
-        involved = sorted(set(bytes_sent) | set(bytes_received))
-        self.ranks = np.array(involved, dtype=np.intp)
-        self.sent_deltas = np.array(
-            [bytes_sent.get(rank, 0) for rank in involved], dtype=np.int64
+        self.empty = not send_time
+        self.send_ranks = np.array(list(send_time), dtype=np.intp)
+        self.send_totals = np.array(list(send_time.values()), dtype=np.float64)
+        position = {src: k for k, src in enumerate(send_time)}
+        self.arrival_dsts = np.array(list(arrivals), dtype=np.intp)
+        self.arrival_pos = np.array(
+            [position[src] for srcs in arrivals.values() for src in srcs], dtype=np.intp
         )
-        self.received_deltas = np.array(
-            [bytes_received.get(rank, 0) for rank in involved], dtype=np.int64
-        )
-        self.message_deltas = np.array(
-            [message_counts.get(rank, 0) for rank in involved], dtype=np.int64
-        )
+        sizes = [len(srcs) for srcs in arrivals.values()]
+        self.arrival_starts = np.array(np.cumsum([0] + sizes[:-1]), dtype=np.intp)
+        self.sent_deltas = sent
+        self.received_deltas = received
+        self.message_deltas = message_counts
         self.channel_deltas = tuple(
-            (channel, (totals[0], totals[1])) for channel, totals in channels.items()
+            (channel, total_bytes, count) for channel, (total_bytes, count) in channels.items()
         )

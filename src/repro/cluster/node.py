@@ -12,6 +12,15 @@ node's memory and is therefore lost when the node fails:
   copies" p′);
 * buddy checkpoints received from other nodes (IMCR).
 
+Code that fills or empties these stores goes through the methods below
+(:meth:`NodeState.keep`, :meth:`~NodeState.stash_redundant`,
+:meth:`~NodeState.hold_redundant`, :meth:`~NodeState.hold_checkpoint`,
+:meth:`~NodeState.drop_redundant`, :meth:`~NodeState.wipe`), which keep
+:attr:`NodeState.redundancy_nbytes`, the running byte count of all
+three, so a footprint snapshot reads one integer per node instead of
+re-summing every array (:meth:`~NodeState.redundancy_bytes` still does,
+as the check).
+
 Failure semantics follow the paper §4: "the nodes set to fail zero-out
 all their vector entries, as well as the scalars they contain"; a
 replacement node "starts without knowledge of the state of the node it
@@ -41,6 +50,21 @@ class NodeState:
         self.redundancy: dict[int, dict[int, tuple[np.ndarray, np.ndarray]]] = {}
         #: owner rank -> {name: block copy, "_scalars": {...}} received via IMCR.
         self.buddy_checkpoints: dict[int, dict[str, Any]] = {}
+        #: Running :meth:`redundancy_bytes`: bytes of every array held in
+        #: ``store``, ``redundancy`` and ``buddy_checkpoints``.
+        self.redundancy_nbytes = 0
+        #: Array bytes per ``redundancy`` iteration and per
+        #: ``buddy_checkpoints`` owner, for the running count.
+        self._stash_nbytes: dict[int, int] = {}
+        self._checkpoint_nbytes: dict[int, int] = {}
+
+    # -- named local blocks ------------------------------------------------------
+
+    def keep(self, name: str, block: np.ndarray) -> None:
+        """Store ``block`` under ``name``, replacing any earlier one."""
+        old = self.store.get(name)
+        self.redundancy_nbytes += block.nbytes - (0 if old is None else old.nbytes)
+        self.store[name] = block
 
     # -- redundancy store ------------------------------------------------------
 
@@ -52,19 +76,42 @@ class NodeState:
         Multiple stashes for the same (iteration, owner) — the natural
         halo part and the ASpMV extras — are concatenated.
         """
-        per_owner = self.redundancy.setdefault(int(iteration), {})
-        if owner in per_owner:
-            old_idx, old_val = per_owner[owner]
+        iteration = int(iteration)
+        per_owner = self.redundancy.setdefault(iteration, {})
+        old = per_owner.get(owner)
+        if old is not None:
+            old_idx, old_val = old
             indices = np.concatenate([old_idx, np.asarray(indices, dtype=np.int64)])
             values = np.concatenate([old_val, np.asarray(values, dtype=np.float64)])
-        per_owner[int(owner)] = (
-            np.asarray(indices, dtype=np.int64),
-            np.asarray(values, dtype=np.float64),
-        )
+        entry = (np.asarray(indices, dtype=np.int64), np.asarray(values, dtype=np.float64))
+        per_owner[int(owner)] = entry
+        grown = entry[0].nbytes + entry[1].nbytes
+        if old is not None:
+            grown -= old[0].nbytes + old[1].nbytes
+        self._stash_nbytes[iteration] = self._stash_nbytes.get(iteration, 0) + grown
+        self.redundancy_nbytes += grown
+
+    def hold_redundant(
+        self,
+        iteration: int,
+        per_owner: dict[int, tuple[np.ndarray, np.ndarray]],
+        nbytes: int,
+    ) -> None:
+        """Store a whole ``{owner: (indices, values)}`` entry for ``iteration``.
+
+        Replaces any entry for ``iteration``; ``nbytes`` is the bytes of
+        its arrays.  The fused ASpMV's one write per recipient.
+        """
+        self.redundancy[iteration] = per_owner
+        old = self._stash_nbytes.get(iteration, 0)
+        self._stash_nbytes[iteration] = nbytes
+        self.redundancy_nbytes += nbytes - old
 
     def drop_redundant(self, iteration: int) -> None:
         """Release the redundant copy for ``iteration`` (queue eviction)."""
-        self.redundancy.pop(int(iteration), None)
+        iteration = int(iteration)
+        if self.redundancy.pop(iteration, None) is not None:
+            self.redundancy_nbytes -= self._stash_nbytes.pop(iteration)
 
     def redundant_for(self, iteration: int, owner: int) -> tuple[np.ndarray, np.ndarray] | None:
         """Entries of ``owner``'s vector held here for ``iteration``, if any."""
@@ -73,8 +120,22 @@ class NodeState:
             return None
         return per_owner.get(int(owner))
 
+    # -- buddy checkpoints --------------------------------------------------------
+
+    def hold_checkpoint(self, owner: int, payload: dict[str, Any], nbytes: int) -> None:
+        """Keep ``owner``'s checkpoint ``payload``, replacing the previous one.
+
+        ``nbytes`` is the bytes of the payload's arrays.
+        """
+        self.buddy_checkpoints[owner] = payload
+        old = self._checkpoint_nbytes.get(owner, 0)
+        self._checkpoint_nbytes[owner] = nbytes
+        self.redundancy_nbytes += nbytes - old
+
     def redundancy_bytes(self) -> int:
-        """Total bytes of redundant data currently resident on this node."""
+        """Total bytes of redundant data currently resident on this node,
+        summed over every stored array (:attr:`redundancy_nbytes` is the
+        running count)."""
         total = 0
         for per_owner in self.redundancy.values():
             for indices, values in per_owner.values():
@@ -96,6 +157,9 @@ class NodeState:
         self.scalars.clear()
         self.redundancy.clear()
         self.buddy_checkpoints.clear()
+        self._stash_nbytes.clear()
+        self._checkpoint_nbytes.clear()
+        self.redundancy_nbytes = 0
 
     def revive(self) -> None:
         """Bring a spare node up in place of this rank (empty memory)."""

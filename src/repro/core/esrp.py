@@ -34,7 +34,7 @@ from ..exceptions import ConfigurationError, IrrecoverableDataLossError
 from ..solvers.engine import ResilienceStrategy, fail_stop_iterations
 from ..solvers.state import PCGState, STATE_VECTOR_NAMES
 from .reconstruction import reconstruct_lost_state, require_reconstruction_support
-from .recovery import begin_recovery, end_recovery, fallback_restart
+from .recovery import begin_recovery, end_recovery, fallback_restart, keep_local_copies
 from .redundancy import RedundancyQueue
 
 #: Node-store key prefix for the starred vector copies.
@@ -120,17 +120,8 @@ class ESRPStrategy(ResilienceStrategy):
 
     def _make_starred_copies(self, j: int, state: PCGState) -> None:
         """x*,r*,z*,p* ← state^{(j)}; β* ← β** (local, no communication)."""
-        cluster = self._engine.cluster
-        for rank in range(self._engine.partition.n_nodes):
-            node = cluster.node(rank)
-            if not node.alive:  # pragma: no cover - all alive during spmv
-                continue
-            nbytes = 0
-            for name in STATE_VECTOR_NAMES:
-                block = state.vector(name).blocks[rank]
-                node.store[STAR_PREFIX + name] = block.copy()
-                nbytes += block.nbytes
-            cluster.memcpy(rank, nbytes)
+        keep_local_copies(self._engine, state, STAR_PREFIX)
+        for node in self._engine.cluster.nodes:
             if BETA_DOUBLE_STAR in node.scalars:
                 node.scalars[BETA_STAR] = node.scalars[BETA_DOUBLE_STAR]
 
@@ -214,7 +205,7 @@ class ESRPStrategy(ResilienceStrategy):
             nbytes = 0
             for name in STATE_VECTOR_NAMES:
                 block = state.vector(name).blocks[rank]
-                node.store[STAR_PREFIX + name] = block.copy()
+                node.keep(STAR_PREFIX + name, block.copy())
                 nbytes += block.nbytes
             engine.cluster.memcpy(rank, nbytes)
             node.scalars[BETA_STAR] = beta_star

@@ -17,7 +17,7 @@ preconditioner), which the preconditioner ablation exercises.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -31,6 +31,9 @@ from ..solvers.engine import ResilienceStrategy, fail_stop_iterations
 from ..solvers.state import PCGState, STATE_VECTOR_NAMES
 
 from .recovery import begin_recovery, end_recovery, fallback_restart
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..cluster.communicator import CompiledExchange
 
 #: Statistics channel for buddy-checkpoint traffic.
 CHECKPOINT_CHANNEL = "checkpoint"
@@ -66,6 +69,8 @@ class IMCRStrategy(ResilienceStrategy):
         self._buddies = [
             eq1_destinations(rank, phi, n_nodes) for rank in range(n_nodes)
         ]
+        #: (memcpy profile, compiled round) of a checkpoint, built at the first.
+        self._round = None
 
     # ------------------------------------------------------------------- hooks
 
@@ -86,32 +91,80 @@ class IMCRStrategy(ResilienceStrategy):
         """The wire/copy size of an ``nbytes`` checkpoint payload."""
         return nbytes
 
+    def _checkpoint_round(self) -> tuple[tuple[tuple[int, int], ...], "CompiledExchange"]:
+        """The bills of one checkpoint, built once per solve.
+
+        Rank s's payload is its four state blocks plus two scalars,
+        ``w_s = _checkpoint_nbytes(2·8 + 4·8·n_s)`` bytes on the wire.
+        Returns the memcpy profile ``(s, w_s)`` of the local copies and
+        the message round ``s → buddy`` (``w_s`` bytes each), compiled
+        once per cluster, ϕ, destinations and wire sizes
+        (:meth:`~repro.cluster.communicator.VirtualCluster.compiled_exchange`):
+        the strategy lives for one solve, the cluster for many.
+        """
+        engine = self._engine
+        partition = engine.partition
+        wires = tuple(
+            self._checkpoint_nbytes(
+                2 * BYTES_PER_FLOAT
+                + len(STATE_VECTOR_NAMES) * BYTES_PER_FLOAT * partition.size_of(rank)
+            )
+            for rank in range(partition.n_nodes)
+        )
+        buddies = tuple(self._buddies)
+
+        def messages():
+            return [
+                (rank, buddy, wires[rank], CHECKPOINT_CHANNEL, False)
+                for rank in range(partition.n_nodes)
+                for buddy in buddies[rank]
+            ]
+
+        compiled = engine.cluster.compiled_exchange(
+            (CHECKPOINT_CHANNEL, buddies, wires), messages
+        )
+        return tuple(enumerate(wires)), compiled
+
     def _take_checkpoint(self, j: int, state: PCGState) -> None:
-        """Copy the local state and ship it to the buddies (charged)."""
+        """Copy the local state and ship it to the buddies (charged).
+
+        Billed first, as one memcpy profile (every rank's local copy)
+        and one compiled concurrent round ("a completely new round of
+        communication in each storage iteration", §3.1), the same bills
+        as a per-rank ``memcpy`` loop followed by ``exchange`` of the
+        per-buddy messages.  Then each node keeps its own copy and its
+        buddies receive the payload: views into one whole-vector copy
+        (or, for lossy variants, one whole-vector compression) per
+        state vector, shipped and kept apart.
+        """
         engine = self._engine
         cluster = engine.cluster
+        if self._round is None:
+            self._round = self._checkpoint_round()
+        profile, compiled = self._round
+        cluster.charge_memcpy(profile)
+        cluster.exchange_compiled(compiled)
+
         beta = float(state.beta) if state.beta is not None else 0.0
-        messages = []
-        for rank in range(engine.partition.n_nodes):
-            node = cluster.node(rank)
+        shipped = [
+            (name, self._checkpoint_block(state.vector(name).data))
+            for name in STATE_VECTOR_NAMES
+        ]
+        kept = [(CKPT_PREFIX + name, values.copy()) for name, values in shipped]
+        offsets = engine.partition.offsets.tolist()
+        nodes = cluster.nodes
+        for rank, node in enumerate(nodes):
+            lo, hi = offsets[rank], offsets[rank + 1]
             payload: dict[str, Any] = {"iteration": j, "beta": beta}
-            nbytes = 2 * BYTES_PER_FLOAT
-            for name in STATE_VECTOR_NAMES:
-                block = state.vector(name).blocks[rank]
-                stored = self._checkpoint_block(block)
-                payload[name] = stored
-                node.store[CKPT_PREFIX + name] = stored.copy()
+            nbytes = 0
+            for (name, values), (key, copy) in zip(shipped, kept):
+                block = payload[name] = values[lo:hi]
                 nbytes += block.nbytes
+                node.keep(key, copy[lo:hi])
             node.scalars[CKPT_BETA] = beta
             node.scalars[CKPT_ITERATION] = float(j)
-            wire_bytes = self._checkpoint_nbytes(nbytes)
-            cluster.memcpy(rank, wire_bytes)
             for buddy in self._buddies[rank]:
-                messages.append((rank, buddy, wire_bytes, CHECKPOINT_CHANNEL, False))
-                cluster.node(buddy).buddy_checkpoints[rank] = dict(payload)
-        # one concurrent communication round ("a completely new round of
-        # communication in each storage iteration", §3.1)
-        cluster.exchange(messages)
+                nodes[buddy].hold_checkpoint(rank, dict(payload), nbytes)
         self.checkpoint_iteration = j
         cluster.snapshot_redundancy_footprint()
         engine.log.record(
@@ -167,7 +220,7 @@ class IMCRStrategy(ResilienceStrategy):
                 replacement = cluster.node(rank)
                 for name in STATE_VECTOR_NAMES:
                     state.vector(name).blocks[rank][:] = payload[name]
-                    replacement.store[CKPT_PREFIX + name] = payload[name].copy()
+                    replacement.keep(CKPT_PREFIX + name, payload[name].copy())
                 replacement.scalars[CKPT_BETA] = payload["beta"]
                 replacement.scalars[CKPT_ITERATION] = float(target)
                 restored = True

@@ -41,7 +41,7 @@ from ..exceptions import ConfigurationError
 from ..solvers.engine import ResilienceStrategy
 from ..solvers.state import PCGState, STATE_VECTOR_NAMES
 
-from .recovery import begin_recovery, end_recovery, fallback_restart
+from .recovery import begin_recovery, end_recovery, fallback_restart, keep_local_copies
 
 #: Node-store key prefix for the locally held verified checkpoint.
 PV_CKPT_PREFIX = "pv_ckpt_"
@@ -148,14 +148,7 @@ class PeriodicVerificationStrategy(ResilienceStrategy):
         """Every node keeps a local copy of its verified state (charged)."""
         engine = self._engine
         cluster = engine.cluster
-        for rank in range(engine.partition.n_nodes):
-            node = cluster.node(rank)
-            nbytes = 0
-            for name in STATE_VECTOR_NAMES:
-                block = state.vector(name).blocks[rank]
-                node.store[PV_CKPT_PREFIX + name] = block.copy()
-                nbytes += block.nbytes
-            cluster.memcpy(rank, nbytes)
+        keep_local_copies(engine, state, PV_CKPT_PREFIX)
         self._ckpt_rz = float(state.rz)
         self._ckpt_beta = state.beta
         self.checkpoint_iteration = j

@@ -1,18 +1,36 @@
 """Shared recovery plumbing used by the resilience strategies.
 
 Keeps the strategy classes focused on *what* they store and rebuild;
-the common mechanics — spare-node replacement, recovery-phase event
-bracketing, and the restart-from-scratch fallback — live here.
+the common mechanics — the local state copies a rollback restores
+from, spare-node replacement, recovery-phase event bracketing, and the
+restart-from-scratch fallback — live here.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
+from ..cluster.cost_model import BYTES_PER_FLOAT
 from ..cluster.failures import FailureEvent
 from ..events import EventKind
 from ..solvers.engine import PCGEngine
-from ..solvers.state import PCGState
+from ..solvers.state import PCGState, STATE_VECTOR_NAMES
+
+
+def keep_local_copies(engine: PCGEngine, state: PCGState, prefix: str) -> None:
+    """Every node stores a copy of its x, r, z, p blocks under ``prefix``.
+
+    Billed first, as one memcpy profile (each rank copies its four
+    blocks), the same bill as a per-rank ``memcpy`` loop.
+    """
+    cluster = engine.cluster
+    cluster.charge_memcpy(
+        engine.partition.charge_profile(len(STATE_VECTOR_NAMES) * BYTES_PER_FLOAT)
+    )
+    vectors = [(prefix + name, state.vector(name).blocks) for name in STATE_VECTOR_NAMES]
+    for rank, node in enumerate(cluster.nodes):
+        for key, blocks in vectors:
+            node.keep(key, blocks[rank].copy())
 
 
 def begin_recovery(engine: PCGEngine, j: int, event: FailureEvent, **detail: Any) -> None:

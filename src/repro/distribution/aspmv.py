@@ -294,6 +294,7 @@ class FlatRedundancyCache:
       per recipient: ``packed[start:stop]`` are the values stored for
       ``owner`` on ``dst``, ``global_indices`` (the two
       pieces' indices, concatenated once here) their indices;
+      ``stash_nbytes`` — the bytes of each recipient's stash arrays;
     * ``messages`` / ``merged`` — the exchange's message and piggyback
       payload lists in plan order (natural halo entries
       on the halo channel, extras on the redundancy channel), so the
@@ -353,6 +354,11 @@ class FlatRedundancyCache:
                 ),
             )
             for dst, group in layout
+        )
+        #: Array bytes of each recipient's stash, aligned with ``stashes``.
+        self.stash_nbytes = tuple(
+            sum(indices.nbytes + (stop - start) * 8 for _owner, indices, start, stop in group)
+            for _dst, group in self.stashes
         )
         self.messages = tuple(messages)
         self.merged = tuple(merged)

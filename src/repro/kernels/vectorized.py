@@ -151,9 +151,10 @@ class VectorizedBackend(KernelBackend):
         iteration = int(iteration)
         nodes = cluster.nodes
         for node in nodes:
-            node.redundancy.pop(iteration, None)
-        for dst, stash in self._stashes(cache, x.data):
-            nodes[dst].redundancy[iteration] = stash
+            if iteration in node.redundancy:
+                node.drop_redundant(iteration)
+        for (dst, stash), nbytes in zip(self._stashes(cache, x.data), cache.stash_nbytes):
+            nodes[dst].hold_redundant(iteration, stash, nbytes)
 
         evicted = queue.push(iteration)
         if evicted is not None:
