@@ -398,7 +398,7 @@ class VirtualCluster:
         return CompiledExchange(self, tuple(messages), tuple(piggyback))
 
     def compiled_exchange(
-        self, key: tuple, messages: "Callable[[], Iterable[tuple]]"
+        self, key: tuple, messages: Callable[[], Iterable[tuple]]
     ) -> "CompiledExchange":
         """``compile_exchange(messages())``, compiled once per ``key``.
 
@@ -650,9 +650,9 @@ class CompiledExchange:
 
         send_time: dict[int, float] = {}
         arrivals: dict[int, list[int]] = {}
-        sent = np.zeros(n_nodes, dtype=np.int64)
-        received = np.zeros(n_nodes, dtype=np.int64)
-        message_counts = np.zeros(n_nodes, dtype=np.int64)
+        bytes_sent: dict[int, int] = {}
+        bytes_received: dict[int, int] = {}
+        message_counts: dict[int, int] = {}
         channels: dict[str, list[int]] = {}
 
         def add(src: int, dst: int, nbytes: int, channel: str, merged: bool) -> None:
@@ -662,13 +662,13 @@ class CompiledExchange:
                 cost = cost_model.payload_time(nbytes)
             else:
                 cost = cost_model.message_time(nbytes, topology.hops(src, dst))
-                message_counts[src] += 1
+                message_counts[src] = message_counts.get(src, 0) + 1
             send_time[src] = send_time.get(src, 0.0) + cost
             dst_sources = arrivals.setdefault(dst, [])
             if src not in dst_sources:
                 dst_sources.append(src)
-            sent[src] += int(nbytes)
-            received[dst] += int(nbytes)
+            bytes_sent[src] = bytes_sent.get(src, 0) + int(nbytes)
+            bytes_received[dst] = bytes_received.get(dst, 0) + int(nbytes)
             totals = channels.setdefault(channel, [0, 0])
             totals[0] += int(nbytes)
             if not merged:
@@ -689,9 +689,16 @@ class CompiledExchange:
         )
         sizes = [len(srcs) for srcs in arrivals.values()]
         self.arrival_starts = np.array(np.cumsum([0] + sizes[:-1]), dtype=np.intp)
-        self.sent_deltas = sent
-        self.received_deltas = received
-        self.message_deltas = message_counts
+        self.sent_deltas = _full_length(bytes_sent, n_nodes)
+        self.received_deltas = _full_length(bytes_received, n_nodes)
+        self.message_deltas = _full_length(message_counts, n_nodes)
         self.channel_deltas = tuple(
             (channel, total_bytes, count) for channel, (total_bytes, count) in channels.items()
         )
+
+
+def _full_length(per_rank: dict[int, int], n_nodes: int) -> np.ndarray:
+    """``per_rank`` as an int64 vector over all ranks (zero where absent)."""
+    full = np.zeros(n_nodes, dtype=np.int64)
+    full[list(per_rank)] = list(per_rank.values())
+    return full

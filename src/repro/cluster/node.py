@@ -133,9 +133,11 @@ class NodeState:
         self.redundancy_nbytes += nbytes - old
 
     def redundancy_bytes(self) -> int:
-        """Total bytes of redundant data currently resident on this node,
-        summed over every stored array (:attr:`redundancy_nbytes` is the
-        running count)."""
+        """Total bytes of redundant data currently resident on this node.
+
+        Re-sums every stored array; :attr:`redundancy_nbytes` is the
+        running count.
+        """
         total = 0
         for per_owner in self.redundancy.values():
             for indices, values in per_owner.values():

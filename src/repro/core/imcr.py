@@ -84,11 +84,19 @@ class IMCRStrategy(ResilienceStrategy):
     # wire.  The base class stores exact copies at full size.
 
     def _checkpoint_block(self, block: np.ndarray) -> np.ndarray:
-        """The stored/shipped representation of one state block."""
+        """The stored/shipped representation of state values.
+
+        Called on a whole state vector, whose per-rank slices are the
+        blocks, so it must act elementwise.
+        """
         return block.copy()
 
     def _checkpoint_nbytes(self, nbytes: int) -> int:
-        """The wire/copy size of an ``nbytes`` checkpoint payload."""
+        """The wire/copy size of an ``nbytes`` checkpoint payload.
+
+        A function of ``nbytes`` alone: the checkpoint round is compiled
+        once from these sizes.
+        """
         return nbytes
 
     def _checkpoint_round(self) -> tuple[tuple[tuple[int, int], ...], "CompiledExchange"]:
@@ -157,10 +165,10 @@ class IMCRStrategy(ResilienceStrategy):
             lo, hi = offsets[rank], offsets[rank + 1]
             payload: dict[str, Any] = {"iteration": j, "beta": beta}
             nbytes = 0
-            for (name, values), (key, copy) in zip(shipped, kept):
+            for (name, values), (key, own) in zip(shipped, kept):
                 block = payload[name] = values[lo:hi]
                 nbytes += block.nbytes
-                node.keep(key, copy[lo:hi])
+                node.keep(key, own[lo:hi])
             node.scalars[CKPT_BETA] = beta
             node.scalars[CKPT_ITERATION] = float(j)
             for buddy in self._buddies[rank]:
