@@ -12,11 +12,9 @@ peak redundant-memory footprints of both schemes.
 
 from __future__ import annotations
 
-import numpy as np
 from conftest import write_artifact
 
-from repro.cluster import BYTES_PER_FLOAT, VirtualCluster, zero_cost_model
-from repro.distribution import BlockRowPartition, DistributedMatrix, RedundancyPlan
+from repro.distribution import BlockRowPartition, RedundancyPlan, SpMVPlan
 from repro.matrices import random_banded_spd
 
 N = 2048
@@ -29,14 +27,12 @@ def run_sweep():
     rows = []
     for bandwidth in BANDWIDTHS:
         matrix = random_banded_spd(N, bandwidth=bandwidth, density=0.6, seed=3)
-        cluster = VirtualCluster(N_NODES, cost_model=zero_cost_model(), seed=0)
-        partition = BlockRowPartition.uniform(N, N_NODES)
-        dmatrix = DistributedMatrix(cluster, partition, matrix)
-        natural = dmatrix.plan.total_halo_entries()
+        spmv_plan = SpMVPlan(matrix, BlockRowPartition.uniform(N, N_NODES))
+        natural = spmv_plan.total_halo_entries()
         per_phi = {}
         for phi in PHIS:
-            plan = RedundancyPlan(dmatrix.plan, phi, rule="paper")
-            greedy = RedundancyPlan(dmatrix.plan, phi, rule="greedy")
+            plan = RedundancyPlan(spmv_plan, phi, rule="paper")
+            greedy = RedundancyPlan(spmv_plan, phi, rule="greedy")
             imcr_entries = phi * 4 * N  # phi buddies x 4 state vectors
             per_phi[phi] = {
                 "extra": plan.extra_entries(),

@@ -10,59 +10,51 @@ much of the drift it removes, with and without node failures.
 
 from __future__ import annotations
 
-import numpy as np
 from conftest import is_quick, write_artifact
 
 import repro
-from repro.cluster import FailureSchedule, VirtualCluster
-from repro.core import ESRPStrategy
-from repro.distribution import BlockRowPartition, DistributedMatrix
+from repro.api import STRATEGIES, register_strategy
+from repro.core import make_strategy
 from repro.harness.calibration import BENCH_COST_MODEL
-from repro.solvers import drift_from_result
-from repro.preconditioners import make_preconditioner
-from repro.solvers import NoResilience, PCGEngine, SolveOptions
-from repro.solvers.residual_replacement import ResidualReplacer
+from repro.solvers import ResidualReplacer, drift_from_result
 
 N_NODES = 8
+#: Registered for the study only: strategy ``base`` wrapped in a replacer.
+REPLACED = "residual_replacement_study"
+
+
+def _build_replaced(base: str = "reference", interval: int = 20, **params):
+    return ResidualReplacer(make_strategy(base, **params), interval=interval).attach()
 
 
 def run_study():
     scale = "tiny" if is_quick() else "small"
     matrix, b, _ = repro.matrices.load("emilia_923_like", scale=scale)
-    probe = repro.solve(
-        matrix, b, n_nodes=N_NODES, strategy="reference", cost_model=BENCH_COST_MODEL
+    session = repro.SolverSession(
+        matrix, b, n_nodes=N_NODES, cost_model=BENCH_COST_MODEL, seed=0
     )
-    j_fail = probe.iterations // 2
-
-    def build(strategy, failures=None):
-        cluster = VirtualCluster(N_NODES, cost_model=BENCH_COST_MODEL, seed=0)
-        partition = BlockRowPartition.uniform(matrix.shape[0], N_NODES)
-        dmatrix = DistributedMatrix(cluster, partition, matrix)
-        return PCGEngine(
-            matrix=dmatrix,
-            b=b,
-            preconditioner=make_preconditioner("block_jacobi"),
-            strategy=strategy,
-            options=SolveOptions(rtol=1e-8),
-            failures=FailureSchedule(failures or []),
-        )
+    j_fail = session.reference().C // 2
+    failure = [repro.FailureEvent(j_fail, (2, 3))]
 
     rows = []
-    for label, use_replacement, failures in [
-        ("PCG", False, None),
-        ("PCG + replacement", True, None),
-        ("ESRP, 2 failures", False, [repro.FailureEvent(j_fail, (2, 3))]),
-        ("ESRP + replacement", True, [repro.FailureEvent(j_fail, (2, 3))]),
-    ]:
-        strategy = (
-            NoResilience() if failures is None else ESRPStrategy(T=20, phi=2)
-        )
-        engine = build(strategy, failures)
-        if use_replacement:
-            ResidualReplacer(engine, interval=20).attach()
-        result = engine.solve()
-        assert result.converged
-        rows.append((label, drift_from_result(matrix, b, result), result.iterations))
+    register_strategy(REPLACED, overwrite=True)(_build_replaced)
+    try:
+        for label, strategy, params, failures in [
+            ("PCG", "reference", {}, []),
+            ("PCG + replacement", REPLACED, {}, []),
+            ("ESRP, 2 failures", "esrp", {}, failure),
+            ("ESRP + replacement", REPLACED, {"base": "esrp"}, failure),
+        ]:
+            report = session.solve(
+                strategy=strategy, strategy_params=params, T=20, phi=2,
+                failures=failures,
+            )
+            assert report.converged
+            rows.append(
+                (label, drift_from_result(matrix, b, report.result), report.iterations)
+            )
+    finally:
+        STRATEGIES.unregister(REPLACED)
     return rows
 
 

@@ -20,14 +20,10 @@ from __future__ import annotations
 from conftest import is_quick, write_artifact
 
 import repro
-from repro.cluster import FailureSchedule, VirtualCluster
 from repro.cluster.topology import FatTree
-from repro.core import ESRStrategy
-from repro.distribution import BlockRowPartition, DistributedMatrix, RedundancyPlan
+from repro.distribution import RedundancyPlan
 from repro.events import EventKind
 from repro.harness.calibration import BENCH_COST_MODEL
-from repro.preconditioners import make_preconditioner
-from repro.solvers import PCGEngine, SolveOptions
 
 N_NODES = 8
 RADIX = 2
@@ -37,43 +33,32 @@ PHI = 1  # a whole-switch fault kills RADIX=2 nodes: psi > phi!
 def run_sweep():
     scale = "tiny" if is_quick() else "small"
     matrix, b, _ = repro.matrices.load("emilia_923_like", scale=scale)
-    topology = FatTree(N_NODES, radix=RADIX)
-    reference = repro.solve(
-        matrix, b, n_nodes=N_NODES, strategy="reference", cost_model=BENCH_COST_MODEL
+    session = repro.SolverSession(
+        matrix, b, n_nodes=N_NODES, topology=FatTree(N_NODES, radix=RADIX),
+        cost_model=BENCH_COST_MODEL, seed=0,
     )
-    j_fail = reference.iterations // 2
+    topology = session.cluster.topology
+    j_fail = session.reference().C // 2
 
     outcomes: dict[str, dict[str, int]] = {}
     traffic: dict[str, int] = {}
     for policy in ("eq1", "switch_aware"):
         exact = restarts = 0
         for leaf in range(topology.n_leaves):
-            ranks = topology.ranks_under_leaf(leaf)
-            cluster = VirtualCluster(
-                N_NODES, topology=FatTree(N_NODES, radix=RADIX),
-                cost_model=BENCH_COST_MODEL, seed=0,
+            report = session.solve(
+                strategy="esr", phi=PHI, destinations=policy,
+                failures=[repro.FailureEvent(j_fail, topology.ranks_under_leaf(leaf))],
             )
-            partition = BlockRowPartition.uniform(matrix.shape[0], N_NODES)
-            dmatrix = DistributedMatrix(cluster, partition, matrix)
-            engine = PCGEngine(
-                matrix=dmatrix,
-                b=b,
-                preconditioner=make_preconditioner("block_jacobi"),
-                strategy=ESRStrategy(phi=PHI, destinations=policy),
-                options=SolveOptions(rtol=1e-8),
-                failures=FailureSchedule([repro.FailureEvent(j_fail, ranks)]),
-            )
-            result = engine.solve()
-            assert result.converged
-            if result.events.first(EventKind.RESTART) is None:
+            assert report.converged
+            if report.result.events.first(EventKind.RESTART) is None:
                 exact += 1
             else:
                 restarts += 1
-            plan = RedundancyPlan(
-                dmatrix.plan, PHI, destinations=policy,
-                topology=cluster.topology if policy == "switch_aware" else None,
-            )
-            traffic[policy] = plan.extra_entries()
+        plan = RedundancyPlan(
+            session.matrix.plan, PHI, destinations=policy,
+            topology=topology if policy == "switch_aware" else None,
+        )
+        traffic[policy] = plan.extra_entries()
         outcomes[policy] = {"exact": exact, "restart": restarts}
     return topology.n_leaves, j_fail, outcomes, traffic
 

@@ -103,7 +103,7 @@ from .core import (
     solve_without_spares,
 )
 from .preconditioners import Preconditioner, make_preconditioner
-from .solvers import PCGEngine, SolveOptions, SolveResult, solve_reference
+from .solvers import PCGEngine, SolveOptions, SolveResult
 from . import api
 from .api import (
     SolveReport,
@@ -173,7 +173,6 @@ __all__ = [
     "register_preconditioner",
     "register_strategy",
     "solve",
-    "solve_reference",
     "solve_without_spares",
     "solvers",
 ]
@@ -190,7 +189,6 @@ def solve(
     rtol: float = 1e-8,
     maxiter: int | None = None,
     failures=None,
-    cluster: VirtualCluster | None = None,
     cost_model: CostModel | None = None,
     seed: int | None = 0,
     rule: str = "paper",
@@ -207,7 +205,7 @@ def solve(
     b:
         Right-hand side vector.
     n_nodes:
-        Number of virtual cluster nodes (ignored if ``cluster`` given).
+        Number of virtual cluster nodes.
     strategy:
         ``"reference"``, ``"esr"``, ``"esrp"``, ``"imcr"``,
         ``"full_restart"``, ``"linear_interpolation"``,
@@ -219,16 +217,17 @@ def solve(
         extra keyword arguments are forwarded to it.
     failures:
         ``FailureSchedule`` or iterable of ``FailureEvent``.
-    cluster:
-        Reuse an existing :class:`VirtualCluster` (clock/stats continue).
     cost_model, seed:
-        Machine model and noise seed for a freshly created cluster.
+        Machine model and noise seed of the cluster.
     rule:
         ASpMV extra-entry selection rule (``"paper"`` or ``"greedy"``).
     backend:
         Compute-kernel backend (any registered name; the built-in is
-        ``"vectorized"``).  ``None`` keeps the default — or, with an
-        adopted ``cluster``, that cluster's backend.
+        ``"vectorized"``).  ``None`` runs the default.
+
+    Every call builds a throwaway :class:`SolverSession` and serves one
+    request on it, so its cluster, distributed matrix and preconditioner
+    start fresh; keep a session to reuse them across solves.
 
     Inputs are validated eagerly: unknown strategy/preconditioner
     names, ``maxiter < 1`` and ``phi >= n_nodes`` raise
@@ -247,7 +246,7 @@ def solve(
         destinations=destinations,
         seed=seed,
         backend=backend,
-        n_nodes=cluster.n_nodes if cluster is not None else n_nodes,
+        n_nodes=n_nodes,
     )
     session = api.SolverSession(
         matrix,
@@ -255,7 +254,6 @@ def solve(
         n_nodes=n_nodes,
         cost_model=cost_model,
         seed=seed,
-        cluster=cluster,
     )
     return session.solve(request).result
 

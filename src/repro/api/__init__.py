@@ -63,7 +63,6 @@ __all__ = [
     "register_matrix",
     "register_preconditioner",
     "register_strategy",
-    "solve_many",
 ]
 
 _LAZY = {
@@ -71,7 +70,6 @@ _LAZY = {
     "SolveReport": ".request",
     "SolverSession": ".session",
     "ReferenceTrajectory": ".session",
-    "solve_many": ".session",
 }
 
 

@@ -81,10 +81,10 @@ class SolveRequest:
     rule: str = "paper"
     #: Designated-destination policy (``"eq1"`` or ``"switch_aware"``).
     destinations: str = "eq1"
-    #: Compute-kernel backend executing the numerics (``None``: inherit
-    #: the session's backend, which defaults to ``"vectorized"``).  Any
-    #: name registered via :func:`repro.api.register_backend`, e.g. a
-    #: plugin that times the default (see :mod:`repro.kernels`).
+    #: Compute-kernel backend executing the numerics (``None``: the
+    #: library default, ``"vectorized"``).  Any name registered via
+    #: :func:`repro.api.register_backend`, e.g. a plugin that times the
+    #: default (see :mod:`repro.kernels`).
     backend: str | None = None
     #: Initial guess policy.  ``None`` starts from zero; ``"previous"``
     #: warm-starts from the final iterate of the session's previous

@@ -14,12 +14,14 @@ cluster constellation across dozens of strategy × T × ϕ cells.  A
   are cached per (preconditioner, rtol), so repeated failure scenarios
   compare against a stored reference instead of recomputing it.
 
-Between solves the session-owned cluster is :meth:`reset
+Before every solve the session's cluster is :meth:`reset
 <repro.cluster.communicator.VirtualCluster.reset>` (fresh clocks,
-statistics, liveness and noise RNG), so each solve's report is
-bit-identical to what a fresh one-shot :func:`repro.solve` with the
-same seed would produce — the monolithic ``repro.solve()`` is in fact
-a thin shim over a throwaway session.
+statistics, liveness and noise RNG) and given the request's kernel
+backend, so each solve's report is bit-identical to what a fresh
+one-shot :func:`repro.solve` with the same seed would produce — the
+monolithic ``repro.solve()`` is in fact a thin shim over a throwaway
+session.  The session is the one place that assembles a solve: the
+cluster, matrix, preconditioner and engine are never handed in.
 
 Every expensive setup step increments :attr:`SolverSession.setup_events`
 (a :class:`collections.Counter`), which tests and capacity planning can
@@ -112,7 +114,6 @@ from ..exceptions import ConfigurationError
 from ..kernels.base import REDUCTION_CHUNK, KernelBackend, flat_dot
 from ..kernels.replay import ReplayBackend, Snapshot, SnapshotCapture
 from ..kernels.vectorized import VectorizedBackend
-from .registry import KERNELS
 from .request import SolveReport, SolveRequest
 
 #: Names the dot-product association in reference-spool fingerprints.
@@ -162,8 +163,6 @@ class SolverSession:
         cost_model: CostModel | None = None,
         topology=None,
         seed: int | None = 0,
-        cluster: VirtualCluster | None = None,
-        backend: str | None = None,
         cache_dir: "str | os.PathLike | bool | None" = None,
         meta=None,
     ):
@@ -175,19 +174,10 @@ class SolverSession:
             Square SPD matrix (anything scipy.sparse accepts) and its
             right-hand side.
         n_nodes, cost_model, topology, seed:
-            Virtual-cluster construction knobs (ignored when
-            ``cluster`` is given).
-        cluster:
-            Adopt an existing cluster instead of owning a fresh one.
-            An adopted cluster is **not** reset between solves — its
-            clock and statistics continue across calls, preserving the
-            historical ``repro.solve(cluster=...)`` semantics.
-        backend:
-            Compute-kernel backend for this session's solves (any name
-            in the :data:`~repro.api.registry.KERNELS` registry);
-            ``None`` (default) picks the library default,
-            ``"vectorized"``.  Individual requests may override it via
-            ``SolveRequest(backend=...)``.
+            Virtual-cluster construction knobs.  ``seed`` is the noise
+            seed of every request that states none.  The kernel backend
+            is chosen per request (``SolveRequest(backend=...)``;
+            ``None`` runs the library default, ``"vectorized"``).
         cache_dir:
             Spool computed reference trajectories to this directory so
             concurrent workers (e.g. campaign processes) stop computing
@@ -204,14 +194,8 @@ class SolverSession:
         self._cost_model = cost_model
         self._topology = topology
         self._seed = seed
-        self._owns_cluster = cluster is None
-        self._cluster = cluster
-        self._n_nodes = int(cluster.n_nodes if cluster is not None else n_nodes)
-        if backend is None:
-            from ..kernels.base import DEFAULT_BACKEND
-
-            backend = DEFAULT_BACKEND
-        self._backend = KERNELS.resolve(backend)
+        self._cluster: VirtualCluster | None = None
+        self._n_nodes = int(n_nodes)
         if cache_dir is True:
             cache_dir = DEFAULT_CACHE_DIR
         self.cache_dir = (
@@ -238,9 +222,6 @@ class SolverSession:
         self.setup_seconds: dict[str, float] = {
             "matrix": 0.0, "preconditioner": 0.0, "reference": 0.0
         }
-        if cluster is not None:
-            # Adopted clusters were built by the caller; no setup charged.
-            self.setup_events["cluster"] += 0
 
     # ------------------------------------------------------------ construction
 
@@ -255,7 +236,6 @@ class SolverSession:
         topology=None,
         seed: int | None = 0,
         problem_seed: int = 2020,
-        backend: str | None = None,
         cache_dir: "str | os.PathLike | bool | None" = None,
     ) -> "SolverSession":
         """Build a session for a registered named problem.
@@ -273,7 +253,6 @@ class SolverSession:
             cost_model=cost_model,
             topology=topology,
             seed=seed,
-            backend=backend,
             cache_dir=cache_dir,
             meta=meta,
         )
@@ -401,20 +380,10 @@ class SolverSession:
 
         request.validate_for(self._n_nodes)
         precond = self._preconditioner_for(request)
-        restore_backend = None
-        if request.backend is not None:
-            if not self._owns_cluster:
-                # A per-request override on an adopted cluster is
-                # scoped to this solve; the caller's backend returns
-                # afterwards.
-                restore_backend = self.cluster.kernels
-            self.cluster.kernels = request.backend
-        elif self._owns_cluster:
-            # Adopted clusters keep whatever backend the caller chose.
-            self.cluster.kernels = self._backend
-        if self._owns_cluster:
-            seed = request.seed if request.seed is not None else self._seed
-            self.cluster.reset(seed=seed)
+        cluster = self.cluster
+        cluster.kernels = request.backend
+        cluster.reset(seed=request.seed if request.seed is not None else self._seed)
+        kernels = cluster.kernels
         strategy = make_strategy(
             request.strategy,
             T=request.T,
@@ -433,19 +402,17 @@ class SolverSession:
         )
         self.setup_events["solve"] += 1
         backend = reference = None
-        if type(self.cluster.kernels) is VectorizedBackend and x0 is None:
+        if type(kernels) is VectorizedBackend and x0 is None:
             reference = self._references.get((request.precond_key, request.rtol))
         if reference is not None:
             backend = self._replay_backend(request, strategy, reference)
         if backend is not None:
-            if restore_backend is None:
-                restore_backend = self.cluster.kernels
-            self.cluster.kernels = backend
+            cluster.kernels = backend
         try:
             result = engine.solve(x0=x0)
         finally:
-            if restore_backend is not None:
-                self.cluster.kernels = restore_backend
+            # A replay's backend does not outlive its solve.
+            cluster.kernels = kernels
             # Unbind, so the engine and its state vectors are freed on
             # return rather than at the next cyclic collection, which a
             # replayed solve, allocating few objects, triggers rarely.
@@ -750,20 +717,3 @@ class SolverSession:
             solution_error=error,
             result=result,
         )
-
-
-def solve_many(
-    matrix,
-    b: np.ndarray,
-    requests: Iterable[SolveRequest],
-    *,
-    n_nodes: int = 8,
-    cost_model: CostModel | None = None,
-    seed: int | None = 0,
-    with_reference: bool = False,
-) -> list[SolveReport]:
-    """One-shot batch convenience: a throwaway session serving a batch."""
-    session = SolverSession(
-        matrix, b, n_nodes=n_nodes, cost_model=cost_model, seed=seed
-    )
-    return session.solve_many(requests, with_reference=with_reference)

@@ -51,7 +51,6 @@ class VirtualCluster:
         cost_model: CostModel | None = None,
         topology: Topology | None = None,
         seed: int | None = 0,
-        kernels: "str | KernelBackend | None" = None,
     ):
         if n_nodes < 1:
             raise ConfigurationError(f"n_nodes must be >= 1, got {n_nodes}")
@@ -78,9 +77,8 @@ class VirtualCluster:
         self._compiled_exchanges: dict[tuple, CompiledExchange] = {}
         #: Model cost of a whole-cluster allreduce, per payload size.
         self._allreduce_costs: dict[int, float] = {}
-        #: Compute-kernel backend spec; resolved lazily on first access
-        #: (``None`` means the library default, currently "vectorized").
-        self._kernels_spec: "str | KernelBackend | None" = kernels
+        #: Compute-kernel backend; the library default ("vectorized")
+        #: until one is assigned, built on first access.
         self._kernels: "KernelBackend | None" = None
 
     # ------------------------------------------------------------------ basics
@@ -115,16 +113,16 @@ class VirtualCluster:
     def kernels(self) -> "KernelBackend":
         """The compute-kernel backend executing this cluster's numerics.
 
-        Resolved lazily from the spec given at construction (a name in
-        the :data:`~repro.api.registry.KERNELS` registry or a backend
-        instance); assignable at any time — switching backends between
-        solves is safe because per-plan index caches live on the plan
-        objects, not on the backend.
+        The library default until assigned; assignable at any time (a
+        name in the :data:`~repro.api.registry.KERNELS` registry, a
+        backend instance, or ``None`` for the default).  Switching
+        backends between solves is safe because per-plan index caches
+        live on the plan objects, not on the backend.
         """
         if self._kernels is None:
             from ..kernels import resolve_backend
 
-            self._kernels = resolve_backend(self._kernels_spec)
+            self._kernels = resolve_backend(None)
         return self._kernels
 
     @kernels.setter
@@ -132,7 +130,6 @@ class VirtualCluster:
         from ..kernels import resolve_backend
 
         self._kernels = resolve_backend(backend)
-        self._kernels_spec = self._kernels
 
     def reset_stats(self) -> None:
         """Zero the traffic statistics (clocks are left untouched)."""
@@ -232,19 +229,6 @@ class VirtualCluster:
         self.clocks[src] += cost
         self.clocks[dst] = max(self.clocks[dst], self.clocks[src])
         self.stats.record_message(src, dst, nbytes, channel)
-
-    def piggyback(self, src: int, dst: int, nbytes: int, channel: str) -> None:
-        """Charge extra payload merged into an existing ``src -> dst`` message.
-
-        No start-up latency — models ASpMV extras riding on a natural
-        halo message ("ESR mainly adds on to existing communication").
-        """
-        self.require_alive(src)
-        self.require_alive(dst)
-        cost = self._charge(self.cost_model.payload_time(nbytes))
-        self.clocks[src] += cost
-        self.clocks[dst] = max(self.clocks[dst], self.clocks[src])
-        self.stats.record_payload(src, dst, nbytes, channel)
 
     def exchange(
         self,
@@ -474,18 +458,6 @@ class VirtualCluster:
         if len(group) <= 1:
             return
         cost = self._charge(self.cost_model.allreduce_time(nbytes, len(group)))
-        finish = max(self.clocks[list(group)]) + cost
-        self.clocks[list(group)] = finish
-        self.stats.record_collective(nbytes)
-
-    def broadcast(self, nbytes: int, ranks: Iterable[int] | None = None) -> None:
-        """Charge a broadcast across ``ranks`` (default: all alive nodes)."""
-        group = tuple(ranks) if ranks is not None else self.alive_ranks()
-        for rank in group:
-            self.require_alive(rank)
-        if len(group) <= 1:
-            return
-        cost = self._charge(self.cost_model.broadcast_time(nbytes, len(group)))
         finish = max(self.clocks[list(group)]) + cost
         self.clocks[list(group)] = finish
         self.stats.record_collective(nbytes)

@@ -53,12 +53,12 @@ timing wrapper around the default) joins via
     class MyBackend(KernelBackend):
         ...
 
-The backend is a property of the virtual cluster
-(``VirtualCluster(n, kernels="my_backend")``, reassignable at any
-time); the service layer selects it per session
-(``SolverSession(..., backend="my_backend")``) or per request
-(``SolveRequest(backend="my_backend")``).  Where no backend is named,
-:data:`DEFAULT_BACKEND` (``"vectorized"``) runs.
+A backend is chosen per request only
+(``SolveRequest(backend="my_backend")``): the session installs it on
+its cluster (:attr:`VirtualCluster.kernels
+<repro.cluster.communicator.VirtualCluster.kernels>`) for that solve.
+Where no backend is named, :data:`DEFAULT_BACKEND` (``"vectorized"``)
+runs.
 """
 
 from __future__ import annotations

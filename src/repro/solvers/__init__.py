@@ -8,7 +8,6 @@ from .engine import (
     SolveResult,
 )
 from .inner import INNER_RTOL, InnerSolveReport, inner_pcg, serial_block_jacobi
-from .reference import solve_reference
 from .residual_replacement import (
     ResidualReplacer,
     drift_from_result,
@@ -32,6 +31,5 @@ __all__ = [
     "inner_pcg",
     "residual_drift",
     "serial_block_jacobi",
-    "solve_reference",
     "true_residual_norm",
 ]

@@ -54,8 +54,6 @@ class SolveOptions:
     maxiter: int | None = None
     #: Raise instead of returning an unconverged result.
     require_convergence: bool = True
-    #: Record ‖r‖/‖b‖ per iteration (cheap; used by examples/plots).
-    record_residuals: bool = True
 
     def budget(self, n: int) -> int:
         if self.maxiter is not None:
@@ -63,23 +61,6 @@ class SolveOptions:
                 raise ConfigurationError(f"maxiter must be >= 1, got {self.maxiter}")
             return int(self.maxiter)
         return 10 * int(n)
-
-
-@dataclasses.dataclass(frozen=True)
-class WarmState:
-    """A full PCG state for warm continuation (gathered global arrays).
-
-    Used by the no-spare-node recovery path, which migrates the exact
-    solver state onto a shrunken cluster and continues the trajectory
-    there (see :mod:`repro.core.no_spare`).
-    """
-
-    x: np.ndarray
-    r: np.ndarray
-    z: np.ndarray
-    p: np.ndarray
-    beta: float | None = None
-    start_iteration: int = 0
 
 
 @dataclasses.dataclass
@@ -239,7 +220,8 @@ class PCGEngine:
         self.options = options or SolveOptions()
         self.failures = failures or FailureSchedule()
         self.log = EventLog()
-        #: The state object of the most recent solve (for warm hand-off).
+        #: The state object of the most recent solve (the no-spare
+        #: path hands its phase-1 state over to phase 2).
         self.final_state: PCGState | None = None
         #: Every reduction value the most recent solve read, in call
         #: order: b·b and r·z at each state set-up, r·z after each
@@ -285,16 +267,13 @@ class PCGEngine:
 
         state = PCGState(x=x, r=r, z=z, p=p, rho=rho)
         cluster.kernels.enter_iteration(0, state)
-        self._initial_reductions(state)
-        state.beta = None
-        return state
-
-    def _initial_reductions(self, state: PCGState) -> None:
-        """‖b‖ (from b·b, as ``b.norm2()`` computes it) and r·z."""
+        # ‖b‖ (from b·b, as ``b.norm2()`` computes it) and r·z.
         b_dot_b = self.b.dot(self.b)
         state.b_norm = float(np.sqrt(max(b_dot_b, 0.0)))
-        state.rz = state.r.dot(state.z)
+        state.rz = r.dot(z)
         self.reductions.extend((b_dot_b, state.rz))
+        state.beta = None
+        return state
 
     def reinitialize_state(self, state: PCGState) -> None:
         """Full restart from the zero initial guess (fallback recovery)."""
@@ -312,26 +291,9 @@ class PCGEngine:
         state.rz = state.r.dot(state.z)
         self.reductions.append(state.rz)
 
-    def state_from_warm(self, warm: WarmState) -> PCGState:
-        """Scatter a :class:`WarmState` into distributed state vectors."""
-        cluster, partition = self.cluster, self.partition
-        state = PCGState(
-            x=DistributedVector.from_global(cluster, partition, warm.x),
-            r=DistributedVector.from_global(cluster, partition, warm.r),
-            z=DistributedVector.from_global(cluster, partition, warm.z),
-            p=DistributedVector.from_global(cluster, partition, warm.p),
-            rho=DistributedVector(cluster, partition),
-        )
-        cluster.kernels.enter_iteration(warm.start_iteration, state)
-        self._initial_reductions(state)
-        state.beta = warm.beta
-        return state
-
     # ------------------------------------------------------------------- solve
 
-    def solve(
-        self, x0: np.ndarray | None = None, warm_state: WarmState | None = None
-    ) -> SolveResult:
+    def solve(self, x0: np.ndarray | None = None) -> SolveResult:
         """Run PCG to convergence, surviving scheduled node failures."""
         wall_start = time.perf_counter()
         options = self.options
@@ -348,14 +310,8 @@ class PCGEngine:
             n_nodes=self.partition.n_nodes,
         )
 
-        if warm_state is not None:
-            if x0 is not None:
-                raise ConfigurationError("pass either x0 or warm_state, not both")
-            state = self.state_from_warm(warm_state)
-            j = warm_state.start_iteration
-        else:
-            state = self.initialize_state(x0)
-            j = 0
+        state = self.initialize_state(x0)
+        j = 0
         residual_history: list[float] = []
         executed = 0
         converged = False
@@ -435,8 +391,7 @@ class PCGEngine:
                 continue
 
             relative = float(np.sqrt(max(r_norm_sq, 0.0))) / state.b_norm
-            if options.record_residuals:
-                residual_history.append(relative)
+            residual_history.append(relative)
             if relative < options.rtol:
                 converged = True
                 j += 1

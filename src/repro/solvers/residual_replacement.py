@@ -7,11 +7,13 @@ the classic mitigation: every ``interval`` iterations the recursive
 residual is replaced by the explicitly recomputed one, bounding the
 drift at the cost of one extra SpMV per replacement.
 
-This is implemented as an engine *add-on* so it composes with every
+This is implemented as a strategy *add-on* so it composes with every
 resilience strategy: the replacement is a deterministic state update
 and therefore participates in checkpoints/reconstruction like any other
-iteration work.  The drift ablation compares Table 4 with and without
-it.
+iteration work.  A replaced solve leaves the reference trajectory, so
+the wrapped strategy promises no replay horizon (see "Replay" in
+:mod:`repro.api.session`).  The drift ablation compares Table 4 with
+and without it.
 
 The drift itself (Eq. 2 of the paper) is
 ``(‖r_end‖₂ − ‖b − A x_end‖₂) / ‖b − A x_end‖₂``, computed only after
@@ -29,7 +31,7 @@ import scipy.sparse as sp
 from ..distribution.spmv import SpMVExecutor
 from ..exceptions import ConfigurationError
 from ..kernels.base import flat_dot
-from .engine import PCGEngine, SolveResult
+from .engine import ResilienceStrategy, SolveResult
 from .state import PCGState
 
 
@@ -64,34 +66,34 @@ def drift_from_result(matrix: sp.spmatrix, b: np.ndarray, result: SolveResult) -
 
 
 class ResidualReplacer:
-    """Periodically replaces ``r`` by ``b − A x`` inside a PCG engine.
+    """Periodically replaces ``r`` by ``b − A x`` under a strategy.
 
-    Usage::
+    Usage, as a registered strategy a session can serve::
 
-        engine = PCGEngine(...)
-        replacer = ResidualReplacer(engine, interval=50)
-        # wrap the strategy's post_iteration hook
-        result = replacer.attach().solve()
+        @register_strategy("esrp_replaced")
+        def build(T=1, phi=1, **_):
+            return ResidualReplacer(ESRPStrategy(T=T, phi=phi), interval=50).attach()
 
-    ``attach()`` decorates the engine's strategy so that every
-    ``interval`` iterations — right after the β update, i.e. at a
-    well-defined point of the recursion — the residual is recomputed
-    explicitly and the preconditioned residual and rz are refreshed.
-    The search direction ``p`` is kept (a "residual-only" replacement,
-    the variant of [27] that preserves the CG recursion).
+    ``attach()`` decorates the strategy so that every ``interval``
+    iterations — right after the β update, i.e. at a well-defined point
+    of the recursion — the residual is recomputed explicitly and the
+    preconditioned residual and rz are refreshed.  The search direction
+    ``p`` is kept (a "residual-only" replacement, the variant of [27]
+    that preserves the CG recursion).  It also sets the strategy's
+    :meth:`~repro.solvers.engine.ResilienceStrategy.replay_horizon` to
+    0: no part of a replaced solve is the reference's.
     """
 
-    def __init__(self, engine: PCGEngine, interval: int = 50):
+    def __init__(self, strategy: ResilienceStrategy, interval: int = 50):
         if interval < 1:
             raise ConfigurationError(f"interval must be >= 1, got {interval}")
-        self.engine = engine
+        self.strategy = strategy
         self.interval = int(interval)
-        self._executor = SpMVExecutor(engine.matrix)
         self.replacements = 0
 
-    def attach(self) -> PCGEngine:
-        """Wrap the engine's strategy hooks; returns the engine."""
-        strategy = self.engine.strategy
+    def attach(self) -> ResilienceStrategy:
+        """Wrap the strategy's hooks; returns the strategy."""
+        strategy = self.strategy
         original_post = strategy.post_iteration
         replacer = self
 
@@ -101,12 +103,13 @@ class ResidualReplacer:
                 replacer.replace(state)
 
         strategy.post_iteration = post_iteration  # type: ignore[method-assign]
-        return self.engine
+        strategy.replay_horizon = lambda failures: 0  # type: ignore[method-assign]
+        return strategy
 
     def replace(self, state: PCGState) -> None:
         """``r ← b − A x``; refresh ``z`` and ``rz`` (all charged)."""
-        engine = self.engine
-        self._executor.multiply(state.x, out=state.rho)
+        engine = self.strategy.engine
+        SpMVExecutor(engine.matrix).multiply(state.x, out=state.rho)
         state.r.subtract(engine.b, state.rho)
         engine.preconditioner.apply(state.r, state.z)
         state.rz = state.r.dot(state.z)

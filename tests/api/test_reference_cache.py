@@ -96,11 +96,15 @@ def test_backends_share_cache_entries(problem, tmp_path):
 
     try:
         _session(problem, tmp_path).reference()
-        plugin = _session(problem, tmp_path, backend="cache_test_backend")
-        plugin.reference()
+        plugin = _session(problem, tmp_path)
+        report = plugin.solve(
+            strategy="reference", backend="cache_test_backend", with_reference=True
+        )
     finally:
         KERNELS.unregister("cache_test_backend")
+    assert report.backend == "cache_test_backend"
     assert plugin.setup_events["reference_disk"] == 1
+    assert plugin.setup_events["reference"] == 0
     assert len(list(tmp_path.glob("reference-*.npz"))) == 1
 
 

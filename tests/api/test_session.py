@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import repro
-from repro.api import SolveRequest, SolverSession, solve_many
-from repro.cluster import VirtualCluster, zero_cost_model
+from repro.api import SolveRequest, SolverSession
+from repro.cluster import zero_cost_model
 from repro.exceptions import ConfigurationError
 
 
@@ -129,14 +129,6 @@ class TestShimEquivalence:
                             cost_model=noisy, seed=0)
         assert report.modeled_time != other.modeled_time
 
-    def test_adopted_cluster_clock_continues(self, problem):
-        """repro.solve(cluster=...) semantics: clock/stats carry across calls."""
-        matrix, b, _meta = problem
-        cluster = VirtualCluster(4, seed=0)
-        first = repro.solve(matrix, b, cluster=cluster, strategy="esr")
-        second = repro.solve(matrix, b, cluster=cluster, strategy="esr")
-        assert second.modeled_time > first.modeled_time
-
 
 class TestSolveMany:
     def test_batch_validates_before_running(self, problem):
@@ -147,17 +139,6 @@ class TestSolveMany:
         with pytest.raises(ConfigurationError, match="targets n_nodes=8"):
             session.solve_many([good, bad])
         assert session.setup_events["solve"] == 0  # nothing ran
-
-    def test_module_level_convenience(self, problem):
-        matrix, b, _meta = problem
-        reports = solve_many(
-            matrix, b,
-            [SolveRequest(strategy="esr"), SolveRequest(strategy="imcr", T=10)],
-            n_nodes=4, with_reference=True,
-        )
-        assert len(reports) == 2
-        assert all(r.converged for r in reports)
-        assert all(r.total_overhead is not None for r in reports)
 
     def test_rejects_non_request_items(self, problem):
         matrix, b, _meta = problem

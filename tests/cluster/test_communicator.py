@@ -72,13 +72,6 @@ class TestAccounting:
         assert cluster.stats.total_bytes("halo") == 100
         assert cluster.stats.total_messages("halo") == 1
 
-    def test_piggyback_adds_bytes_not_messages(self):
-        cluster = costed_cluster()
-        cluster.send(0, 1, 100, channel="halo")
-        cluster.piggyback(0, 1, 50, channel="extra")
-        assert cluster.stats.total_bytes("extra") == 50
-        assert cluster.stats.total_messages("extra") == 0
-
     def test_compute_records_flops(self):
         cluster = costed_cluster()
         cluster.compute(0, 123.0)

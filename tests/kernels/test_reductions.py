@@ -57,7 +57,8 @@ def test_flat_dot_is_the_chunk_loop(n):
 
 
 def _cluster(backend, cost_model=COSTED, replaced=False):
-    cluster = VirtualCluster(N_NODES, cost_model=cost_model, seed=3, kernels=backend)
+    cluster = VirtualCluster(N_NODES, cost_model=cost_model, seed=3)
+    cluster.kernels = backend
     if replaced:
         cluster.compute(2, 1e6)
         cluster.fail([1])
@@ -177,10 +178,12 @@ def emilia_tiny():
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_solve_bits_do_not_depend_on_the_node_count(emilia_tiny, backend):
     matrix, b = emilia_tiny
-    request = repro.SolveRequest(strategy="reference", preconditioner="jacobi")
+    request = repro.SolveRequest(
+        strategy="reference", preconditioner="jacobi", backend=backend
+    )
     results = []
     for n_nodes in (2, 4, 8):
-        session = repro.SolverSession(matrix, b, n_nodes=n_nodes, backend=backend)
+        session = repro.SolverSession(matrix, b, n_nodes=n_nodes)
         results.append(session.solve(request).result)
     first = results[0]
     assert first.converged

@@ -58,7 +58,7 @@ def cell_key(preconditioner: str, strategy: str, T: int, scenario: str) -> str:
     return f"{preconditioner}/{strategy}/T={T}/{scenario}"
 
 
-def solve_cells(backend: str | None = None, repeats: dict | None = None) -> dict[str, dict]:
+def solve_cells(repeats: dict | None = None) -> dict[str, dict]:
     """Every pinned cell's accounting fields, keyed by :func:`cell_key`.
 
     A :data:`FAST_FORWARDED` cell is solved twice; the second solve's
@@ -66,9 +66,7 @@ def solve_cells(backend: str | None = None, repeats: dict | None = None) -> dict
     """
     matrix = poisson_2d(8)
     b = matrix @ np.random.default_rng(42).standard_normal(matrix.shape[0])
-    session = repro.SolverSession(
-        matrix, b, n_nodes=N_NODES, cost_model=NOISY, seed=SEED, backend=backend
-    )
+    session = repro.SolverSession(matrix, b, n_nodes=N_NODES, cost_model=NOISY, seed=SEED)
     records = {}
     for preconditioner in PRECONDITIONERS:
         reference = session.reference(preconditioner=preconditioner)

@@ -10,13 +10,7 @@ from repro.events import EventKind
 from repro.exceptions import ConfigurationError, ConvergenceError, NodeFailureError
 from repro.matrices import poisson_2d, random_banded_spd
 from repro.preconditioners import make_preconditioner
-from repro.solvers import (
-    NoResilience,
-    PCGEngine,
-    SolveOptions,
-    solve_reference,
-)
-from repro.solvers.engine import WarmState
+from repro.solvers import NoResilience, PCGEngine, SolveOptions
 
 from ..conftest import make_distributed
 
@@ -59,11 +53,6 @@ class TestReferenceSolve:
         result = engine.solve()
         assert len(result.residual_history) == result.iterations
         assert result.residual_history[-1] < result.residual_history[0]
-
-    def test_record_residuals_off(self):
-        matrix = poisson_2d(6)
-        engine, _ = build_engine(matrix, options=SolveOptions(record_residuals=False))
-        assert engine.solve().residual_history == []
 
     def test_events_bracket_solve(self):
         matrix = poisson_2d(6)
@@ -114,14 +103,6 @@ class TestReferenceSolve:
         with pytest.raises(NodeFailureError):
             engine.solve()
 
-    def test_solve_reference_helper(self):
-        matrix = poisson_2d(6)
-        cluster, partition, dmatrix = make_distributed(matrix, 3)
-        b = np.ones(36)
-        result = solve_reference(dmatrix, b, make_preconditioner("jacobi"))
-        assert result.converged
-        assert result.strategy == "reference"
-
     def test_modeled_time_positive_with_costs(self):
         from repro.cluster import CostModel
 
@@ -145,41 +126,6 @@ class TestReferenceSolve:
         result = engine.solve()
         assert result.wasted_iterations == 0
         assert result.recovery_time == 0.0
-
-
-class TestWarmState:
-    def test_warm_state_continues_trajectory(self):
-        matrix = poisson_2d(8)
-        engine, b = build_engine(matrix)
-        # run a few iterations then capture the state
-        capped, _ = build_engine(
-            matrix, options=SolveOptions(maxiter=5, require_convergence=False)
-        )
-        partial = capped.solve()
-        state = capped.final_state
-        warm = WarmState(
-            x=state.x.to_global(),
-            r=state.r.to_global(),
-            z=state.z.to_global(),
-            p=state.p.to_global(),
-            beta=state.beta,
-            start_iteration=partial.iterations,
-        )
-        fresh, _ = build_engine(matrix)
-        warm_result = fresh.solve(warm_state=warm)
-        cold_result = engine.solve()
-        assert warm_result.converged
-        assert warm_result.iterations == cold_result.iterations
-        assert np.allclose(warm_result.x, cold_result.x, atol=1e-8)
-
-    def test_warm_and_x0_exclusive(self):
-        matrix = poisson_2d(6)
-        engine, _ = build_engine(matrix)
-        warm = WarmState(
-            x=np.zeros(36), r=np.zeros(36), z=np.zeros(36), p=np.zeros(36)
-        )
-        with pytest.raises(ConfigurationError):
-            engine.solve(x0=np.zeros(36), warm_state=warm)
 
 
 class TestValidation:

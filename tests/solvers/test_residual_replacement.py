@@ -1,10 +1,14 @@
 """Tests for periodic residual replacement (Van der Vorst & Ye)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import repro
+from repro.api import STRATEGIES, register_strategy
 from repro.cluster import FailureSchedule, VirtualCluster, zero_cost_model
+from repro.core import make_strategy
 from repro.distribution import BlockRowPartition, DistributedMatrix
 from repro.exceptions import ConfigurationError
 from repro.solvers import drift_from_result
@@ -35,9 +39,8 @@ def problem():
 class TestResidualReplacer:
     def test_still_converges_to_solution(self, problem):
         matrix, b = problem
-        engine = build_engine(matrix, b)
-        replacer = ResidualReplacer(engine, interval=10)
-        result = replacer.attach().solve()
+        replacer = ResidualReplacer(NoResilience(), interval=10)
+        result = build_engine(matrix, b, replacer.attach()).solve()
         assert result.converged
         true_res = np.linalg.norm(b - matrix @ result.x) / np.linalg.norm(b)
         assert true_res < 1e-8
@@ -45,17 +48,15 @@ class TestResidualReplacer:
 
     def test_replacement_counts(self, problem):
         matrix, b = problem
-        engine = build_engine(matrix, b)
-        replacer = ResidualReplacer(engine, interval=25)
-        result = replacer.attach().solve()
+        replacer = ResidualReplacer(NoResilience(), interval=25)
+        result = build_engine(matrix, b, replacer.attach()).solve()
         assert replacer.replacements == (result.iterations - 1) // 25
 
     def test_reduces_drift_magnitude(self, problem):
         matrix, b = problem
         plain = build_engine(matrix, b).solve()
-        engine = build_engine(matrix, b)
-        ResidualReplacer(engine, interval=10).attach()
-        replaced = engine.solve()
+        strategy = ResidualReplacer(NoResilience(), interval=10).attach()
+        replaced = build_engine(matrix, b, strategy).solve()
         drift_plain = abs(drift_from_result(matrix, b, plain))
         drift_replaced = abs(drift_from_result(matrix, b, replaced))
         # replacement keeps |r| honest: drift must not grow, and is
@@ -67,17 +68,53 @@ class TestResidualReplacer:
         from repro.core import ESRPStrategy
 
         plain = build_engine(matrix, b).solve()
-        engine = build_engine(matrix, b, strategy=ESRPStrategy(T=10, phi=1))
-        ResidualReplacer(engine, interval=15).attach()
+        strategy = ResidualReplacer(ESRPStrategy(T=10, phi=1), interval=15).attach()
+        engine = build_engine(matrix, b, strategy)
         engine.failures = FailureSchedule([repro.FailureEvent(22, (1,))])
         result = engine.solve()
         assert result.converged
         np.testing.assert_allclose(result.x, plain.x, atol=1e-7)
 
-    def test_invalid_interval(self, problem):
-        matrix, b = problem
+    def test_invalid_interval(self):
         with pytest.raises(ConfigurationError):
-            ResidualReplacer(build_engine(matrix, b), interval=0)
+            ResidualReplacer(NoResilience(), interval=0)
+
+
+@pytest.fixture()
+def replaced_esrp():
+    """``esrp`` wrapped in a 25-iteration replacer, as a registered strategy.
+
+    Yields the replacers built so far, one per solve.
+    """
+    replacers = []
+
+    @register_strategy("replaced_esrp_test", overwrite=True)
+    def build(interval=25, **params):
+        replacers.append(ResidualReplacer(make_strategy("esrp", **params), interval))
+        return replacers[-1].attach()
+
+    yield replacers
+    STRATEGIES.unregister("replaced_esrp_test")
+
+
+def test_replacement_counts_and_never_replays(problem, replaced_esrp):
+    """A failure-free ``esrp`` solve retraces the reference and replays;
+    a replaced one leaves it, so it must run for real even when the
+    session holds the reference."""
+    matrix, b = problem
+    request = repro.SolveRequest(strategy="replaced_esrp_test", T=10)
+    warm = repro.SolverSession(matrix, b, n_nodes=4)
+    warm.reference()
+    plain = warm.solve(dataclasses.replace(request, strategy="esrp")).result
+    assert plain.replayed_iterations > 0
+    replaced = warm.solve(request).result
+    fresh = repro.SolverSession(matrix, b, n_nodes=4).solve(request).result
+    assert replaced.replayed_iterations == 0
+    assert replaced_esrp[0].replacements == (replaced.iterations - 1) // 25 > 0
+    assert replaced.x.tobytes() == fresh.x.tobytes()
+    assert replaced.iterations == fresh.iterations
+    assert replaced.residual_history == fresh.residual_history
+    assert replaced.modeled_time == fresh.modeled_time
 
 
 class TestSwitchAwareDestinations:
