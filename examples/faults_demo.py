@@ -23,15 +23,16 @@ import numpy as np
 
 import repro
 from repro.events import EventKind
-from repro.faults import FaultSchedule, SDCEvent
+from repro.cluster.failures import FailureSchedule
+from repro.faults import SDCEvent
 from repro.matrices import poisson_2d
 
 N_NODES = 4
 
 
-def corruption() -> FaultSchedule:
+def corruption() -> FailureSchedule:
     """One deterministic strike on rank 1's block of x at iteration 12."""
-    return FaultSchedule([
+    return FailureSchedule([
         SDCEvent(iteration=12, rank=1, vector="x", mode="scale",
                  magnitude=1e-2, seed=42),
     ])

@@ -5,7 +5,7 @@
 SolverSession` into a long-lived HTTP service: sessions (cluster +
 distributed matrix + factorised preconditioners + reference
 trajectories) live in a bounded LRU pool, concurrent requests against
-one session are batched through ``solve_many``, and every reply is
+one session are batched behind one leader, and every reply is
 versioned and hash-stamped so clients can verify it and cache it by
 content.  This demo
 

@@ -30,6 +30,7 @@ from typing import Any, Mapping
 
 from ..cluster.failures import FailureEvent, FailureSchedule
 from ..exceptions import ConfigurationError
+from ..faults.events import SDCEvent, event_from_dict
 from .registry import KERNELS, PRECONDITIONERS, STRATEGIES
 
 
@@ -40,10 +41,6 @@ def _normalise_failures(failures) -> tuple:
     through: ``SDCEvent``/``ChurnEvent`` instances, and mappings with a
     ``"kind"`` key (dispatched by :func:`repro.faults.events.event_from_dict`).
     """
-    # Imported lazily: repro.faults pulls in the registry machinery,
-    # which must not load while this module is still initialising.
-    from ..faults.events import SDCEvent, event_from_dict
-
     if failures is None:
         return ()
     if isinstance(failures, (FailureEvent, SDCEvent)):
@@ -153,18 +150,8 @@ class SolveRequest:
     # ------------------------------------------------------------ conveniences
 
     def schedule(self) -> FailureSchedule:
-        """The request's failures as a fresh schedule.
-
-        Fail-stop-only requests get the plain
-        :class:`FailureSchedule`; the corruption-carrying
-        :class:`~repro.faults.events.FaultSchedule` appears exactly
-        when silent-corruption events are present.
-        """
-        from ..faults.events import FaultSchedule, SDCEvent
-
-        if any(isinstance(e, SDCEvent) for e in self.failures):
-            return FaultSchedule(list(self.failures))
-        return FailureSchedule(list(self.failures))
+        """The request's failures (fail-stop and silent) as a fresh schedule."""
+        return FailureSchedule(self.failures)
 
     @property
     def precond_key(self) -> str:

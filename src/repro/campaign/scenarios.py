@@ -27,21 +27,25 @@ Kinds
     between failures expressed in iterations or as a fraction of C.
 ``sdc``
     Silent-data-corruption strikes from seeded per-node Bernoulli
-    trials (:class:`repro.faults.sdc.SDCModel`); pair with the ``pv``
+    trials (:class:`repro.faults.SDCModel`); pair with the ``pv``
     detection strategies.
 ``lossy``
     Fail-stop events that exercise lossy-checkpoint restores, carrying
     the compressor's ``error_bound``/``ratio`` parameters
-    (:class:`repro.faults.lossy.LossyCheckpointModel`); pair with
+    (:class:`repro.faults.LossyCheckpointModel`); pair with
     ``lossy_imcr``.
 ``churn``
     Epoch-based node leave/rejoin churn with critical/sufficient
-    cluster-size accounting (:class:`repro.faults.churn.ChurnModel`).
+    cluster-size accounting (:class:`repro.faults.ChurnModel`).
 
 Every generator clamps the failing-block width to ``min(width, ϕ,
 N - 1)`` so the produced scenario is recoverable by construction —
-campaign rows measure overhead, not data loss.  The fault-taxonomy
-kinds delegate to the registered models in :mod:`repro.faults`.
+campaign rows measure overhead, not data loss.
+
+:data:`SCENARIO_KINDS` is the one table of schedule generators: the
+fault-taxonomy kinds build their model from :mod:`repro.faults` with
+the spec's parameters, and every kind rejects a parameter it does not
+take with :class:`~repro.exceptions.ConfigurationError`.
 """
 
 from __future__ import annotations
@@ -57,6 +61,7 @@ from ..cluster.failures import (
     poisson_schedule,
 )
 from ..exceptions import ConfigurationError
+from ..faults import ChurnModel, LossyCheckpointModel, SDCModel
 
 
 @dataclasses.dataclass(frozen=True)
@@ -192,13 +197,12 @@ def _fraction(
     location: str = "start",
     width: int | None = None,
 ) -> FailureSchedule:
-    # Delegates to the registered fail-stop fault model (imported
-    # lazily to keep the module graph acyclic); the produced schedule
-    # is identical to the historical inline generator.
-    from ..faults.node_failure import NodeFailureModel
-
-    model = NodeFailureModel(fraction=fraction, location=location, width=width)
-    return model.schedule(ctx)
+    if not 0.0 < fraction < 1.0:
+        raise ConfigurationError(f"fraction must be in (0, 1), got {fraction}")
+    width = ctx.clamp_width(width)
+    iteration = ctx.clamp_iteration(round(float(fraction) * ctx.reference_iterations))
+    ranks = block_failure_ranks(location, width, ctx.n_nodes)
+    return FailureSchedule([FailureEvent(iteration, ranks)])
 
 
 def _multi_node(
@@ -296,27 +300,6 @@ def _mtbf(
     return FailureSchedule([e for e in schedule if e.iteration >= 1])
 
 
-def _sdc(ctx: ScenarioContext, **params: Any) -> FailureSchedule:
-    """Silent-corruption strikes (see :class:`repro.faults.sdc.SDCModel`)."""
-    from ..faults import make_fault_model
-
-    return make_fault_model("sdc", **params).schedule(ctx)
-
-
-def _lossy(ctx: ScenarioContext, **params: Any) -> FailureSchedule:
-    """Lossy-checkpoint regime (see :class:`repro.faults.lossy.LossyCheckpointModel`)."""
-    from ..faults import make_fault_model
-
-    return make_fault_model("lossy_checkpoint", **params).schedule(ctx)
-
-
-def _churn(ctx: ScenarioContext, **params: Any) -> FailureSchedule:
-    """Epoch-based churn (see :class:`repro.faults.churn.ChurnModel`)."""
-    from ..faults import make_fault_model
-
-    return make_fault_model("churn", **params).schedule(ctx)
-
-
 SCENARIO_KINDS: dict[str, Callable[..., FailureSchedule]] = {
     "failure_free": _failure_free,
     "worst_case": _worst_case,
@@ -324,9 +307,9 @@ SCENARIO_KINDS: dict[str, Callable[..., FailureSchedule]] = {
     "multi_node": _multi_node,
     "storm": _storm,
     "mtbf": _mtbf,
-    "sdc": _sdc,
-    "lossy": _lossy,
-    "churn": _churn,
+    "sdc": lambda ctx, **params: SDCModel(**params).schedule(ctx),
+    "lossy": lambda ctx, **params: LossyCheckpointModel(**params).schedule(ctx),
+    "churn": lambda ctx, **params: ChurnModel(**params).schedule(ctx),
 }
 
 

@@ -22,7 +22,7 @@ import dataclasses
 import hashlib
 import json
 import os
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 from ..exceptions import ConfigurationError
 from .scenarios import ScenarioSpec
@@ -427,8 +427,3 @@ def faults_spec(
         ),
         repetitions=repetitions,
     )
-
-
-def iter_run_dicts(runs: Iterable[RunSpec]) -> list[dict[str, Any]]:
-    """JSON-friendly view of an expanded run list (debugging/reports)."""
-    return [run.to_dict() for run in runs]

@@ -280,7 +280,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve_cmd.add_argument("--pool-size", type=int, default=None, metavar="N",
                            help="max concurrently cached solver sessions")
     serve_cmd.add_argument("--max-batch", type=int, default=None, metavar="N",
-                           help="max requests drained into one solve_many batch")
+                           help="max requests a batch leader solves before replying")
     serve_cmd.add_argument("--cache-dir", nargs="?", const=DEFAULT_CACHE_DIR,
                            default=None, metavar="DIR",
                            help="disk trajectory cache for warm session "

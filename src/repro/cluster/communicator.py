@@ -131,10 +131,6 @@ class VirtualCluster:
 
         self._kernels = resolve_backend(backend)
 
-    def reset_stats(self) -> None:
-        """Zero the traffic statistics (clocks are left untouched)."""
-        self.stats = ClusterStats(self.n_nodes)
-
     def reset(self, seed: int | None = None) -> None:
         """Return the cluster to its pristine t = 0 state.
 

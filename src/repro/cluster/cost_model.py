@@ -125,15 +125,6 @@ class CostModel:
         rounds = 2 * math.ceil(math.log2(n_nodes))
         return rounds * (self.alpha + nbytes * self.beta)
 
-    def broadcast_time(self, nbytes: int, n_nodes: int) -> float:
-        """Time for a binomial-tree broadcast of ``nbytes``."""
-        if n_nodes < 1:
-            raise ConfigurationError(f"n_nodes must be >= 1, got {n_nodes}")
-        if n_nodes == 1:
-            return 0.0
-        rounds = math.ceil(math.log2(n_nodes))
-        return rounds * (self.alpha + nbytes * self.beta)
-
     # -- noise ---------------------------------------------------------------
 
     def perturb(self, seconds: float, rng: np.random.Generator | None) -> float:

@@ -64,25 +64,52 @@ class FailureEvent:
 
 
 class FailureSchedule:
-    """An ordered collection of failure events consumed by the solver."""
+    """An ordered collection of fault events consumed by the solver.
 
-    def __init__(self, events: Sequence[FailureEvent] = ()):
-        self._events = sorted(events, key=lambda e: e.iteration)
+    It holds both event families.  Fail-stop events
+    (:class:`FailureEvent`, including the epoch-tagged
+    :class:`~repro.faults.events.ChurnEvent`) are served by
+    :meth:`pop_due`; every other event is a silent corruption
+    (:class:`~repro.faults.events.SDCEvent`), served by
+    :meth:`pop_corruptions`.  Both families are consumed at most once.
+    """
+
+    def __init__(self, events: Sequence = ()):
+        failures = []
+        corruptions = []
+        for event in events:
+            (failures if isinstance(event, FailureEvent) else corruptions).append(event)
+        self._events = tuple(sorted(failures, key=lambda e: e.iteration))
+        self._corruptions = tuple(
+            sorted(corruptions, key=lambda e: (e.iteration, e.rank, e.vector))
+        )
         self._cursor = 0
+        self._sdc_cursor = 0
 
     @property
     def events(self) -> tuple[FailureEvent, ...]:
-        return tuple(self._events)
+        """The fail-stop events, by iteration."""
+        return self._events
+
+    @property
+    def corruptions(self) -> tuple:
+        """The silent-corruption events, by (iteration, rank, vector)."""
+        return self._corruptions
 
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self._events) + len(self._corruptions)
 
-    def __iter__(self) -> Iterator[FailureEvent]:
-        return iter(self._events)
+    def __iter__(self) -> Iterator:
+        # By iteration, fail-stop before silent.
+        return iter(sorted(
+            self._events + self._corruptions,
+            key=lambda e: (e.iteration, not isinstance(e, FailureEvent)),
+        ))
 
     def reset(self) -> None:
         """Rewind the schedule (for re-running the same scenario)."""
         self._cursor = 0
+        self._sdc_cursor = 0
 
     def pop_due(self, iteration: int) -> FailureEvent | None:
         """Return the next event scheduled for ``iteration``, if any.
@@ -99,17 +126,21 @@ class FailureSchedule:
         return None
 
     def pop_corruptions(self, iteration: int) -> tuple:
-        """Silent-corruption events due at ``iteration`` (none here).
-
-        The fail-stop schedule carries no corruption events; the
-        generalised :class:`repro.faults.events.FaultSchedule` overrides
-        this, so the solver engine can poll one uniform interface.
-        """
-        return ()
+        """All corruption events due at ``iteration`` (consumed once)."""
+        start = end = self._sdc_cursor
+        if start == len(self._corruptions):
+            return ()
+        while end < len(self._corruptions) and self._corruptions[end].iteration == iteration:
+            end += 1
+        self._sdc_cursor = end
+        return self._corruptions[start:end]
 
     def pending(self) -> int:
         """Number of not-yet-consumed events."""
-        return len(self._events) - self._cursor
+        return (
+            len(self._events) - self._cursor
+            + len(self._corruptions) - self._sdc_cursor
+        )
 
 
 # ------------------------------------------------------------------ generators

@@ -1,22 +1,25 @@
 """Fault-model subsystem: a taxonomy of injectable faults.
 
 The seed reproduction modelled exactly one fault class — fail-stop node
-failure at a scripted iteration.  This package generalises that into a
-registry of *fault models* (what goes wrong, when, and how it is drawn
-from a seed) that the scenario layer, the request API, and the solver
-engine all consume through one uniform schedule interface.
+failure at a scripted iteration.  This package adds the event types and
+the seeded schedule models of the other classes.  The campaign scenario
+table (:data:`repro.campaign.scenarios.SCENARIO_KINDS`) is the one place
+that names them: a scenario kind builds its model from the spec's
+parameters and asks it for the run's schedule.
 
 Fault taxonomy
 --------------
 ==================  ==========================  =======================  ==========================
-Model (registry)    Event type                  Detection                Recovery
+Scenario kind       Event type                  Detection                Recovery
 ==================  ==========================  =======================  ==========================
-``node_failure``    ``FailureEvent``            immediate (fail-stop     strategy ``recover`` hook
-                                                notification)            (ESR/ESRP/IMCR/...)
+``worst_case``,     ``FailureEvent``            immediate (fail-stop     strategy ``recover`` hook
+``fraction``,                                   notification)            (ESR/ESRP/IMCR/...)
+``multi_node``,
+``storm``, ``mtbf``
 ``sdc``             ``SDCEvent``                none — silent; needs a   ``pv`` backward rollback /
                                                 verification strategy    ``pv_forward`` reconstruction
                                                 (``pv``/``pv_forward``)  (arXiv:1511.04478)
-``lossy_checkpoint``  ``FailureEvent``          immediate                ``lossy_imcr`` restores a
+``lossy``           ``FailureEvent``            immediate                ``lossy_imcr`` restores a
                                                                          quantised checkpoint; the
                                                                          bounded error re-enters CG
                                                                          (arXiv:1804.11268)
@@ -26,15 +29,18 @@ Model (registry)    Event type                  Detection                Recover
                                                                          tracked in stats/events
 ==================  ==========================  =======================  ==========================
 
+The ``sdc``, ``lossy`` and ``churn`` kinds draw their schedules from
+:class:`SDCModel`, :class:`LossyCheckpointModel` and :class:`ChurnModel`.
+
 Injection-hook contract
 -----------------------
 * **Where.** All faults land at the paper's injection point: inside
-  iteration ``j``, immediately after the SpMV.  Fail-stop events flow
-  through ``FailureSchedule.pop_due(j)`` and
-  ``VirtualCluster.fail(ranks)`` exactly as before; corruption events
-  flow through ``FaultSchedule.pop_corruptions(j)`` and the new
-  ``VirtualCluster.corrupt(rank)`` hook plus an in-place block mutation
-  (``SDCEvent.apply``).
+  iteration ``j``, immediately after the SpMV.  One
+  :class:`~repro.cluster.failures.FailureSchedule` carries both event
+  families: fail-stop events flow through ``pop_due(j)`` and
+  ``VirtualCluster.fail(ranks)``; corruption events flow through
+  ``pop_corruptions(j)`` and the ``VirtualCluster.corrupt(rank)`` hook
+  plus an in-place block mutation (``SDCEvent.apply``).
 * **Cost.** Injection itself is free on the simulated clock — a fault
   is an act of the environment, not of the algorithm.  Everything the
   *solver* does about it (verification residuals, rollbacks,
@@ -55,54 +61,29 @@ Injection-hook contract
   never re-triggers an already-injected fault (one-event-per-run paper
   semantics, generalised).
 
-Registering a new model::
-
-    from repro.faults import register_fault
-
-    @register_fault("my_fault")
-    class MyFaultModel:
-        name = "my_fault"
-        def __init__(self, **params): ...
-        def schedule(self, ctx):  # ctx: campaign ScenarioContext
-            return FaultSchedule([...])
-
-Scenario kinds ``sdc`` / ``lossy`` / ``churn`` in
-:mod:`repro.campaign.scenarios` delegate to these models, so campaign
-specs reach them with plain ``{"kind": "sdc", ...}`` dictionaries.
+Campaign specs reach every kind with plain ``{"kind": "sdc", ...}``
+dictionaries; a parameter a kind does not take is a
+:class:`~repro.exceptions.ConfigurationError`.
 """
 
-from .base import FAULTS, FaultModel, fault_kinds, make_fault_model, register_fault
+from .churn import ChurnModel
 from .events import (
     CORRUPTIBLE_VECTORS,
     SDC_MODES,
     ChurnEvent,
-    FaultSchedule,
     SDCEvent,
     event_from_dict,
 )
-from .lossy import CompressionModel
-
-# Importing the model modules runs their registrations.
-from . import churn, lossy, node_failure, sdc  # noqa: F401  (registration side effects)
-from .churn import ChurnModel
-from .lossy import LossyCheckpointModel
-from .node_failure import NodeFailureModel
+from .lossy import CompressionModel, LossyCheckpointModel
 from .sdc import SDCModel
 
 __all__ = [
-    "FAULTS",
-    "FaultModel",
-    "register_fault",
-    "make_fault_model",
-    "fault_kinds",
-    "FaultSchedule",
     "SDCEvent",
     "ChurnEvent",
     "event_from_dict",
     "CORRUPTIBLE_VECTORS",
     "SDC_MODES",
     "CompressionModel",
-    "NodeFailureModel",
     "SDCModel",
     "LossyCheckpointModel",
     "ChurnModel",

@@ -14,13 +14,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..cluster.failures import contiguous_ranks
+from ..cluster.failures import FailureSchedule, contiguous_ranks
 from ..exceptions import ConfigurationError
-from .base import register_fault
-from .events import ChurnEvent, FaultSchedule
+from .events import ChurnEvent
 
 
-@register_fault("churn", aliases=("node_churn",))
 class ChurnModel:
     """Seeded epoch-boundary leave/rejoin churn.
 
@@ -36,15 +34,12 @@ class ChurnModel:
         N-1)``, like every generator).
     """
 
-    name = "churn"
-
     def __init__(
         self,
         epoch_iterations: int | None = None,
         epoch_fraction: float = 0.2,
         leave_probability: float = 0.5,
         width: int | None = None,
-        **_,
     ):
         if epoch_iterations is not None and epoch_iterations < 1:
             raise ConfigurationError(
@@ -63,7 +58,7 @@ class ChurnModel:
         self.leave_probability = float(leave_probability)
         self.width = width
 
-    def schedule(self, ctx) -> FaultSchedule:
+    def schedule(self, ctx) -> FailureSchedule:
         rng = np.random.default_rng(ctx.seed)
         C = ctx.reference_iterations
         epoch_len = self.epoch_iterations or max(2, round(self.epoch_fraction * C))
@@ -96,4 +91,4 @@ class ChurnModel:
                     )
                 )
             boundary += epoch_len
-        return FaultSchedule(events)
+        return FailureSchedule(events)

@@ -1,4 +1,4 @@
-"""Fault events beyond fail-stop, and the schedule that carries them.
+"""Fault events beyond fail-stop.
 
 The fail-stop machinery models exactly one event shape: a set of ranks
 dies (:class:`~repro.cluster.failures.FailureEvent`).  This module adds
@@ -10,10 +10,11 @@ dies (:class:`~repro.cluster.failures.FailureEvent`).  This module adds
 * :class:`ChurnEvent` — an epoch-tagged node departure (a
   :class:`FailureEvent` subclass, so the existing recovery machinery
   handles the leave/rejoin cycle) carrying the critical/sufficient
-  cluster-size bookkeeping of epoch-based membership models;
-* :class:`FaultSchedule` — a :class:`FailureSchedule` that additionally
-  carries corruption events and serves them through
-  ``pop_corruptions(iteration)``.
+  cluster-size bookkeeping of epoch-based membership models.
+
+:class:`~repro.cluster.failures.FailureSchedule` carries both families:
+``pop_due`` serves the fail-stop events, ``pop_corruptions`` the
+corruption events.
 
 Every event is a frozen dataclass with a ``fault_kind`` tag and a
 ``to_dict`` serialisation, so mixed schedules round-trip losslessly
@@ -23,11 +24,10 @@ through :class:`~repro.api.request.SolveRequest` JSON.
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterator, Sequence
 
 import numpy as np
 
-from ..cluster.failures import FailureEvent, FailureSchedule
+from ..cluster.failures import FailureEvent
 from ..exceptions import ConfigurationError
 
 #: Vector names an SDC event may target (the PCG state vectors).
@@ -165,66 +165,3 @@ def event_from_dict(data) -> FailureEvent | SDCEvent:
     if kind == "node_failure":
         return FailureEvent(int(payload["iteration"]), tuple(payload["ranks"]))
     raise ConfigurationError(f"unknown fault event kind {kind!r}")
-
-
-def _sdc_sort_key(event: SDCEvent) -> tuple:
-    return (event.iteration, event.rank, event.vector)
-
-
-class FaultSchedule(FailureSchedule):
-    """A fail-stop schedule that also carries silent-corruption events.
-
-    Fail-stop events (including :class:`ChurnEvent`) flow through the
-    inherited ``pop_due`` path; :class:`SDCEvent` items are served by
-    :meth:`pop_corruptions`.  Both families are consumed at most once —
-    a rollback never re-triggers an already-injected fault (same
-    semantics as the base schedule).
-    """
-
-    def __init__(self, events: Sequence = ()):
-        failures = []
-        corruptions = []
-        for event in events:
-            if isinstance(event, SDCEvent):
-                corruptions.append(event)
-            elif isinstance(event, FailureEvent):
-                failures.append(event)
-            else:
-                raise ConfigurationError(
-                    f"FaultSchedule items must be FailureEvent or SDCEvent, "
-                    f"got {type(event).__name__}"
-                )
-        super().__init__(failures)
-        self._corruptions = tuple(sorted(corruptions, key=_sdc_sort_key))
-        self._sdc_cursor = 0
-
-    @property
-    def corruptions(self) -> tuple[SDCEvent, ...]:
-        return self._corruptions
-
-    def __len__(self) -> int:
-        return super().__len__() + len(self._corruptions)
-
-    def __iter__(self) -> Iterator:
-        merged = list(self.events) + list(self._corruptions)
-        # Stable global order: by iteration, fail-stop before silent.
-        merged.sort(key=lambda e: (e.iteration, isinstance(e, SDCEvent)))
-        return iter(merged)
-
-    def reset(self) -> None:
-        super().reset()
-        self._sdc_cursor = 0
-
-    def pop_corruptions(self, iteration: int) -> tuple[SDCEvent, ...]:
-        """All corruption events due at ``iteration`` (consumed once)."""
-        due = []
-        while (
-            self._sdc_cursor < len(self._corruptions)
-            and self._corruptions[self._sdc_cursor].iteration == iteration
-        ):
-            due.append(self._corruptions[self._sdc_cursor])
-            self._sdc_cursor += 1
-        return tuple(due)
-
-    def pending(self) -> int:
-        return super().pending() + len(self._corruptions) - self._sdc_cursor

@@ -16,10 +16,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..cluster.cost_model import BYTES_PER_FLOAT
-from ..cluster.failures import FailureEvent, contiguous_ranks
+from ..cluster.failures import FailureEvent, FailureSchedule, contiguous_ranks
 from ..exceptions import ConfigurationError
-from .base import register_fault
-from .events import FaultSchedule
 
 
 class CompressionModel:
@@ -57,7 +55,6 @@ class CompressionModel:
         return max(BYTES_PER_FLOAT, int(round(nbytes / self.ratio)))
 
 
-@register_fault("lossy_checkpoint", aliases=("lossy",))
 class LossyCheckpointModel:
     """Fail-stop events that exercise lossy-checkpoint restores.
 
@@ -68,8 +65,6 @@ class LossyCheckpointModel:
     specs attach to the run via ``strategy_params``.
     """
 
-    name = "lossy_checkpoint"
-
     def __init__(
         self,
         count: int = 1,
@@ -78,7 +73,6 @@ class LossyCheckpointModel:
         location: str = "start",
         error_bound: float = 1e-4,
         ratio: float = 4.0,
-        **_,
     ):
         if count < 1:
             raise ConfigurationError(f"lossy count must be >= 1, got {count}")
@@ -98,7 +92,7 @@ class LossyCheckpointModel:
         self.error_bound = float(error_bound)
         self.ratio = float(ratio)
 
-    def schedule(self, ctx) -> FaultSchedule:
+    def schedule(self, ctx) -> FailureSchedule:
         width = ctx.clamp_width(self.width)
         C = ctx.reference_iterations
         upper = max(C - 1, 1)
@@ -123,4 +117,4 @@ class LossyCheckpointModel:
             events.append(
                 FailureEvent(iteration, contiguous_ranks(start, width, ctx.n_nodes))
             )
-        return FaultSchedule(events)
+        return FailureSchedule(events)

@@ -14,12 +14,11 @@ from typing import Sequence
 
 import numpy as np
 
+from ..cluster.failures import FailureSchedule
 from ..exceptions import ConfigurationError
-from .base import register_fault
-from .events import CORRUPTIBLE_VECTORS, SDC_MODES, FaultSchedule, SDCEvent
+from .events import CORRUPTIBLE_VECTORS, SDC_MODES, SDCEvent
 
 
-@register_fault("sdc", aliases=("silent_data_corruption",))
 class SDCModel:
     """Seeded per-node Bernoulli corruption strikes.
 
@@ -39,8 +38,6 @@ class SDCModel:
         Optional hard cap on the number of strikes per run.
     """
 
-    name = "sdc"
-
     def __init__(
         self,
         probability: float = 0.02,
@@ -50,7 +47,6 @@ class SDCModel:
         mode: str = "bitflip",
         magnitude: float = 1e-2,
         max_events: int | None = None,
-        **_,
     ):
         if corruption_chances is None:
             if not 0.0 <= probability <= 1.0:
@@ -90,7 +86,7 @@ class SDCModel:
         profile = self.corruption_chances
         return tuple(profile[r % len(profile)] for r in range(n_nodes))
 
-    def schedule(self, ctx) -> FaultSchedule:
+    def schedule(self, ctx) -> FailureSchedule:
         rng = np.random.default_rng(ctx.seed)
         chances = self._chances(ctx.n_nodes)
         upper = max(ctx.reference_iterations - 1, 1)
@@ -113,4 +109,4 @@ class SDCModel:
                     )
         if self.max_events is not None:
             events = events[: self.max_events]
-        return FaultSchedule(events)
+        return FailureSchedule(events)

@@ -19,8 +19,8 @@ Architecture — three layers, each usable alone:
 ``service``
     :class:`SolverService`: validates :class:`ServeRequest`\\ s, runs
     them through the pool with **request batching** (concurrent
-    requests for one session are drained by a single batch leader via
-    ``solve_many``), and wraps every answer in a **versioned,
+    requests for one session are solved by a single batch leader, one
+    ``SolverSession.solve`` each), and wraps every answer in a **versioned,
     hash-stamped response**: ``response_digest`` is the sha256 over the
     canonical JSON of ``{version, engine, problem_digest,
     request_fingerprint, report}``.  Wall-clock timing and pool hit

@@ -11,8 +11,8 @@ the :class:`~repro.api.request.SolveRequest` to run against it; a
 * requests against one session are **batched**: every HTTP thread
   appends ``(request, future)`` to the session's pending deque, and
   whoever acquires the session lock first becomes the batch leader,
-  draining the deque through
-  :meth:`~repro.api.session.SolverSession.solve_many` in ``max_batch``
+  solving the deque's requests one by one with
+  :meth:`~repro.api.session.SolverSession.solve` in ``max_batch``
   groups while later arrivals simply wait on their futures;
 * replies are **hash-stamped** (see :func:`stamp_response`): the digest
   covers the engine version, the problem-content digest, the request
@@ -34,7 +34,6 @@ import hashlib
 import json
 import threading
 from concurrent.futures import Future
-from itertools import groupby
 from time import perf_counter
 from typing import Any, Mapping
 
@@ -53,7 +52,8 @@ ENGINE = f"repro-{__version__}"
 #: Default session-pool capacity.
 DEFAULT_POOL_SIZE = 4
 
-#: Default batch-group bound for one ``solve_many`` drain.
+#: Default number of requests a batch leader solves before handing
+#: out their outcomes.
 DEFAULT_MAX_BATCH = 8
 
 
@@ -315,7 +315,14 @@ class SolverService:
         return future.result()
 
     def _drain_pending(self, pooled: PooledSession) -> None:
-        """Serve every pending request (call with the session lock held)."""
+        """Serve every pending request (call with the session lock held).
+
+        Each request is solved once, on its own, so a bad request fails
+        alone.  Outcomes are handed out after each batch: one leader
+        solving back to back, with its passengers asleep on their
+        futures, serves more requests per second than every thread
+        solving its own request under the lock.
+        """
         while True:
             batch = []
             while pooled.pending and len(batch) < self.max_batch:
@@ -325,30 +332,16 @@ class SolverService:
                     break
             if not batch:
                 return
-            for with_ref, group_iter in groupby(
-                batch, key=lambda item: item[0].with_reference
-            ):
-                group = list(group_iter)
+            outcomes = []
+            for serve_req, future in batch:
                 try:
-                    reports = pooled.session.solve_many(
-                        [item[0].request for item in group],
-                        with_reference=with_ref,
-                    )
-                except Exception:
-                    # One bad request must not fail its batch
-                    # neighbours: fall back to per-item solves and give
-                    # each future its own outcome.
-                    for serve_req, future in group:
-                        try:
-                            future.set_result(pooled.session.solve(
-                                serve_req.request,
-                                with_reference=serve_req.with_reference,
-                            ))
-                        except Exception as exc:
-                            future.set_exception(exc)
-                else:
-                    for (_, future), report in zip(group, reports):
-                        future.set_result(report)
+                    outcomes.append((future.set_result, pooled.session.solve(
+                        serve_req.request, with_reference=serve_req.with_reference
+                    )))
+                except Exception as exc:
+                    outcomes.append((future.set_exception, exc))
+            for settle, outcome in outcomes:
+                settle(outcome)
 
     # --------------------------------------------------------------- lifecycle
 

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 
-import numpy as np
-
 from ..distribution.vector import DistributedVector
 
 #: Names of the distributed state vectors, in canonical order.
@@ -51,11 +49,3 @@ class PCGState:
     def vectors(self) -> dict[str, DistributedVector]:
         """All four state vectors, keyed by canonical name."""
         return {name: getattr(self, name) for name in STATE_VECTOR_NAMES}
-
-    def local_blocks(self, rank: int) -> dict[str, np.ndarray]:
-        """Copies of one node's blocks of the four state vectors."""
-        return {name: getattr(self, name).blocks[rank].copy() for name in STATE_VECTOR_NAMES}
-
-    def trajectory_fingerprint(self) -> tuple[float, ...]:
-        """A cheap digest of the current state (used by equivalence tests)."""
-        return tuple(float(vec.to_global().sum()) for vec in self.vectors().values())

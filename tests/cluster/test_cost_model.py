@@ -79,12 +79,6 @@ class TestCollectives:
         # ceil(log2(5)) = 3 rounds each direction
         assert model.allreduce_time(0, 5) == pytest.approx(6e-6)
 
-    def test_broadcast_half_of_allreduce(self):
-        model = CostModel(alpha=1e-6, beta=1e-9)
-        assert model.broadcast_time(64, 16) == pytest.approx(
-            model.allreduce_time(64, 16) / 2
-        )
-
     def test_invalid_node_count(self):
         with pytest.raises(ConfigurationError):
             CostModel().allreduce_time(8, 0)

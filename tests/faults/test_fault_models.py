@@ -1,10 +1,11 @@
-"""Fault-model registry, events, schedules and request pass-through.
+"""Fault models, events, schedules and request pass-through.
 
-The taxonomy contract (see :mod:`repro.faults`): every registered model
+The taxonomy contract (see :mod:`repro.faults`): every scenario kind
 turns a :class:`ScenarioContext` into a schedule deterministically from
-``ctx.seed``; events round-trip through dicts; silent-corruption events
-are split from fail-stop events by :class:`FaultSchedule`; and requests
-carry taxonomy events through JSON unchanged (API and serve layers).
+``ctx.seed``; events round-trip through dicts; one
+:class:`FailureSchedule` serves silent-corruption events apart from
+fail-stop events; and requests carry taxonomy events through JSON
+unchanged (API and serve layers).
 """
 
 import json
@@ -13,17 +14,17 @@ import numpy as np
 import pytest
 
 from repro.api.request import SolveRequest
-from repro.campaign import ScenarioContext
+from repro.campaign import ScenarioContext, ScenarioSpec, generate_schedule, scenario_kinds
 from repro.cluster.failures import FailureEvent, FailureSchedule
 from repro.exceptions import ConfigurationError
 from repro.faults import (
     ChurnEvent,
+    ChurnModel,
     CompressionModel,
-    FaultSchedule,
+    LossyCheckpointModel,
     SDCEvent,
+    SDCModel,
     event_from_dict,
-    fault_kinds,
-    make_fault_model,
 )
 
 pytestmark = pytest.mark.smoke
@@ -42,57 +43,35 @@ def make_ctx(n_nodes=4, phi=1, strategy="esrp", T=10, C=40, seed=7):
 
 class TestRegistry:
     def test_all_kinds_registered(self):
-        kinds = fault_kinds()
-        for kind in ("node_failure", "sdc", "lossy_checkpoint", "churn"):
-            assert kind in kinds
-
-    def test_aliases_resolve(self):
-        assert type(make_fault_model("fail_stop")) is type(
-            make_fault_model("node_failure")
-        )
-        assert type(make_fault_model("silent_data_corruption")) is type(
-            make_fault_model("sdc")
-        )
-        assert type(make_fault_model("lossy")) is type(
-            make_fault_model("lossy_checkpoint")
-        )
-        assert type(make_fault_model("node_churn")) is type(
-            make_fault_model("churn")
+        assert scenario_kinds() == (
+            "churn", "failure_free", "fraction", "lossy", "mtbf",
+            "multi_node", "sdc", "storm", "worst_case",
         )
 
     def test_unknown_kind_raises(self):
         with pytest.raises(ConfigurationError):
-            make_fault_model("bitrot")
+            ScenarioSpec.make("bitrot")
+        with pytest.raises(ConfigurationError):
+            generate_schedule(ScenarioSpec("bitrot"), make_ctx())
 
     def test_schedules_deterministic_per_seed(self):
         ctx = make_ctx(seed=13)
-        for kind in fault_kinds():
-            model = make_fault_model(kind)
-            first = [e.to_dict() for e in model.schedule(ctx)]
-            second = [e.to_dict() for e in model.schedule(ctx)]
+        for kind in scenario_kinds():
+            spec = ScenarioSpec.make(kind)
+            first = [e.to_dict() for e in generate_schedule(spec, ctx)]
+            second = [e.to_dict() for e in generate_schedule(spec, ctx)]
             assert first == second, kind
 
 
 class TestNodeFailureModel:
     def test_matches_historical_fraction_generator(self):
-        # The registered fail-stop model IS the old inline `fraction`
-        # generator; campaigns stored before the taxonomy must replay
-        # onto identical schedules.
-        from repro.campaign import ScenarioSpec, generate_schedule
-
-        ctx = make_ctx()
+        # Campaigns stored before the fault taxonomy must replay onto
+        # identical `fraction` schedules.
         spec = ScenarioSpec.make(
             "fraction", fraction=0.5, location="start", width=1
         )
-        via_scenario = [e.to_dict() for e in generate_schedule(spec, ctx)]
-        via_model = [
-            e.to_dict()
-            for e in make_fault_model(
-                "node_failure", fraction=0.5, location="start", width=1
-            ).schedule(ctx)
-        ]
-        assert via_scenario == via_model
-        assert via_model == [{"iteration": 20, "ranks": [0]}]
+        via_scenario = [e.to_dict() for e in generate_schedule(spec, make_ctx())]
+        assert via_scenario == [{"iteration": 20, "ranks": [0]}]
 
 
 class TestSDC:
@@ -124,23 +103,21 @@ class TestSDC:
 
     def test_model_validation(self):
         with pytest.raises(ConfigurationError):
-            make_fault_model("sdc", probability=1.5)
+            SDCModel(probability=1.5)
         with pytest.raises(ConfigurationError):
-            make_fault_model("sdc", vector="q")
+            SDCModel(vector="q")
         with pytest.raises(ConfigurationError):
-            make_fault_model("sdc", mode="gamma_ray")
+            SDCModel(mode="gamma_ray")
 
     def test_corruption_chances_cycle_over_ranks(self):
         # Rank 1 and 3 have probability 0, so no strikes land there.
-        model = make_fault_model(
-            "sdc", corruption_chances=(0.9, 0.0), max_events=None
-        )
+        model = SDCModel(corruption_chances=(0.9, 0.0), max_events=None)
         schedule = model.schedule(make_ctx(seed=5))
         assert len(schedule) > 0
         assert all(e.rank in (0, 2) for e in schedule)
 
     def test_max_events_truncates(self):
-        model = make_fault_model("sdc", probability=0.9, max_events=2)
+        model = SDCModel(probability=0.9, max_events=2)
         assert len(model.schedule(make_ctx(seed=1))) == 2
 
 
@@ -156,8 +133,8 @@ class TestChurn:
         # Outcome-independent RNG consumption: schedules with different
         # leave probabilities still place surviving events at the same
         # iterations (the rank/width draws are always made).
-        always = make_fault_model("churn", leave_probability=1.0)
-        sometimes = make_fault_model("churn", leave_probability=0.5)
+        always = ChurnModel(leave_probability=1.0)
+        sometimes = ChurnModel(leave_probability=0.5)
         ctx = make_ctx(C=60, seed=21)
         all_iters = [e.iteration for e in always.schedule(ctx)]
         some_iters = [e.iteration for e in sometimes.schedule(ctx)]
@@ -188,12 +165,12 @@ class TestLossyCompression:
         with pytest.raises(ConfigurationError):
             CompressionModel(error_bound=0.0)
         with pytest.raises(ConfigurationError):
-            make_fault_model("lossy_checkpoint", ratio=0.5)
+            LossyCheckpointModel(ratio=0.5)
 
 
 class TestFaultSchedule:
     def make_mixed(self):
-        return FaultSchedule([
+        return FailureSchedule([
             FailureEvent(10, (0,)),
             SDCEvent(iteration=5, rank=1, seed=1),
             SDCEvent(iteration=10, rank=2, seed=2),
@@ -203,8 +180,9 @@ class TestFaultSchedule:
         assert len(self.make_mixed()) == 3
 
     def test_iter_is_merged_and_sorted(self):
-        iters = [e.iteration for e in self.make_mixed()]
-        assert iters == sorted(iters)
+        # By iteration, fail-stop before silent within one iteration.
+        order = [(e.iteration, type(e).__name__) for e in self.make_mixed()]
+        assert order == [(5, "SDCEvent"), (10, "FailureEvent"), (10, "SDCEvent")]
 
     def test_pop_split(self):
         schedule = self.make_mixed()
@@ -249,9 +227,13 @@ class TestRequestPassThrough:
         assert isinstance(restored.failures[0], SDCEvent)
 
     def test_schedule_materialises_fault_schedule(self):
-        assert isinstance(self.make_request().schedule(), FaultSchedule)
-        plain = SolveRequest(failures=((5, (0,)),))
-        assert not isinstance(plain.schedule(), FaultSchedule)
+        schedule = self.make_request().schedule()
+        assert type(schedule) is FailureSchedule
+        assert [e.iteration for e in schedule.corruptions] == [12]
+        assert [e.iteration for e in schedule.events] == [20]
+        plain = SolveRequest(failures=((5, (0,)),)).schedule()
+        assert type(plain) is FailureSchedule
+        assert plain.corruptions == ()
 
     def test_strategy_params_roundtrip(self):
         request = SolveRequest(

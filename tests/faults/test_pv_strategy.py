@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 import repro
-from repro.faults import FaultSchedule, SDCEvent
+from repro.cluster.failures import FailureSchedule
+from repro.faults import SDCEvent
 from repro.matrices import poisson_2d
 
 pytestmark = pytest.mark.smoke
@@ -31,7 +32,7 @@ def problem():
 
 def corruption(iteration, magnitude=1e-2):
     """A deterministic, comfortably-detectable strike on rank 1's x block."""
-    return FaultSchedule([
+    return FailureSchedule([
         SDCEvent(iteration=iteration, rank=1, vector="x", mode="scale",
                  magnitude=magnitude, seed=42),
     ])

@@ -23,7 +23,7 @@ import pathlib
 import pytest
 
 from repro.api.request import SolveRequest
-from repro.campaign import ScenarioContext, ScenarioSpec, generate_schedule
+from repro.campaign import ScenarioContext, ScenarioSpec, generate_schedule, scenario_kinds
 
 pytestmark = pytest.mark.smoke
 
@@ -82,8 +82,6 @@ def pin() -> dict:
 
 
 def test_pin_covers_every_kind(pin):
-    from repro.campaign import scenario_kinds
-
     assert {kind for kind, _ in SPECS} == set(scenario_kinds())
     assert len(pin) == len(SPECS) * len(CONTEXTS)
 

@@ -2,6 +2,7 @@
 
 Invariants:
 
+* every kind rejects a parameter it does not take;
 * every generated schedule is recoverable by construction (block
   widths never exceed ϕ or leave no survivor, iterations stay inside
   the undisturbed trajectory);
@@ -17,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import repro
 from repro.campaign import ScenarioContext, ScenarioSpec, generate_schedule
+from repro.exceptions import ConfigurationError
 
 N_NODES = 4
 
@@ -111,6 +113,25 @@ def test_every_generator_is_seed_deterministic(spec, phi, seed):
     first = [event.to_dict() for event in generate_schedule(spec, ctx)]
     second = [event.to_dict() for event in generate_schedule(spec, ctx)]
     assert first == second
+
+
+@given(
+    spec=all_kind_specs,
+    # No kind takes a parameter ending in "_typo".
+    key=st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=12).map(
+        lambda stem: f"{stem}_typo"
+    ),
+    value=st.one_of(st.integers(0, 9), st.floats(0.0, 1.0)),
+)
+@settings(max_examples=40, deadline=None)
+def test_every_kind_rejects_an_unknown_parameter(spec, key, value):
+    # A misspelled parameter must not run the generator at its defaults.
+    typo = ScenarioSpec.make(spec.kind, **dict(spec.params), **{key: value})
+    ctx = ScenarioContext(
+        n_nodes=N_NODES, phi=1, strategy="esrp", T=10, reference_iterations=80, seed=0
+    )
+    with pytest.raises(ConfigurationError, match=key):
+        generate_schedule(typo, ctx)
 
 
 @given(

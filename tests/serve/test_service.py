@@ -232,7 +232,7 @@ class TestBitIdentity:
 
     def test_concurrent_clients_all_get_the_identical_answer(self):
         # Many threads, one session key: the batch leader serves most
-        # of them via solve_many, stragglers solo — every reply must
+        # of them, stragglers solo — every reply must
         # still be byte-identical.
         service = SolverService(pool_size=1, max_batch=4)
         request = serve_request()
@@ -287,7 +287,7 @@ class TestErrorsAndLifecycle:
 
     def test_batch_neighbours_survive_a_bad_request(self):
         # A request that validates but fails at solve time must fail
-        # alone: the per-item fallback re-runs its batch neighbours.
+        # alone, and its batch neighbours are solved once each.
         service = SolverService(pool_size=1, max_batch=8)
         good = serve_request()
         bad = serve_request()
@@ -314,6 +314,8 @@ class TestErrorsAndLifecycle:
         assert isinstance(results["bad"], Exception)
         assert verify_response(results["good1"])
         assert results["good1"]["response_digest"] == results["good2"]["response_digest"]
+        slot = service.stats()["pool"]["slots"][good.session_key]
+        assert slot["solve"] == 3
 
     def test_close_drains_inflight_then_refuses(self):
         service = SolverService(pool_size=1)
