@@ -45,12 +45,15 @@ campaign rows measure overhead, not data loss.
 :data:`SCENARIO_KINDS` is the one table of schedule generators: the
 fault-taxonomy kinds build their model from :mod:`repro.faults` with
 the spec's parameters, and every kind rejects a parameter it does not
-take with :class:`~repro.exceptions.ConfigurationError`.
+take with :class:`~repro.exceptions.ConfigurationError`, already in
+:meth:`ScenarioSpec.make` (so a campaign spec, a queue submission or a
+request that declares a misspelled parameter fails up front).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import inspect
 from typing import Any, Callable, Mapping
 
 from ..cluster.failures import (
@@ -102,10 +105,21 @@ class ScenarioSpec:
 
     @classmethod
     def make(cls, kind: str, **params: Any) -> "ScenarioSpec":
+        """A spec of ``kind``, checked against its generator's signature.
+
+        An unknown kind or a parameter the generator does not take
+        raises :class:`~repro.exceptions.ConfigurationError` here, when
+        a campaign is declared, not when a run generates its schedule.
+        Parameter values are checked by the generator itself.
+        """
         if kind not in SCENARIO_KINDS:
             raise ConfigurationError(
                 f"unknown scenario kind {kind!r}; available: {', '.join(scenario_kinds())}"
             )
+        try:
+            inspect.signature(SCENARIO_KINDS[kind]).bind(None, **params)
+        except TypeError as exc:
+            raise ConfigurationError(f"bad parameters for scenario {kind!r}: {exc}") from exc
         # Sequence-valued parameters (e.g. per-node corruption_chances)
         # arrive as JSON lists; coerce to tuples so RunSpecs stay
         # hashable (json re-serialises tuples as lists, so round-trips
@@ -300,6 +314,22 @@ def _mtbf(
     return FailureSchedule([e for e in schedule if e.iteration >= 1])
 
 
+def _from_model(model: type) -> Callable[..., FailureSchedule]:
+    """The generator ``model(**params).schedule(ctx)``, with the
+    signature ``(ctx, <model's parameters>)`` that
+    :meth:`ScenarioSpec.make` checks."""
+
+    def generate(ctx: ScenarioContext, **params: Any) -> FailureSchedule:
+        return model(**params).schedule(ctx)
+
+    signature = inspect.signature(model)
+    ctx = inspect.Parameter("ctx", inspect.Parameter.POSITIONAL_OR_KEYWORD)
+    generate.__signature__ = signature.replace(
+        parameters=[ctx, *signature.parameters.values()]
+    )
+    return generate
+
+
 SCENARIO_KINDS: dict[str, Callable[..., FailureSchedule]] = {
     "failure_free": _failure_free,
     "worst_case": _worst_case,
@@ -307,9 +337,9 @@ SCENARIO_KINDS: dict[str, Callable[..., FailureSchedule]] = {
     "multi_node": _multi_node,
     "storm": _storm,
     "mtbf": _mtbf,
-    "sdc": lambda ctx, **params: SDCModel(**params).schedule(ctx),
-    "lossy": lambda ctx, **params: LossyCheckpointModel(**params).schedule(ctx),
-    "churn": lambda ctx, **params: ChurnModel(**params).schedule(ctx),
+    "sdc": _from_model(SDCModel),
+    "lossy": _from_model(LossyCheckpointModel),
+    "churn": _from_model(ChurnModel),
 }
 
 

@@ -42,6 +42,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..kernels.base import KernelBackend
 
 
+#: Compiled bills a cluster keeps per kind before starting afresh.
+MAX_BILLS = 256
+
+
 class VirtualCluster:
     """A simulated distributed-memory machine with unreliable nodes."""
 
@@ -69,12 +73,12 @@ class VirtualCluster:
         self._registered_vectors: list[weakref.ReferenceType] = []
         #: Number of currently failed nodes (fast-path guard).
         self._dead_count = 0
-        #: Compiled full-length (seconds, amounts) vectors per charge profile.
-        self._compiled_charges: dict[tuple, tuple] = {}
-        self._compiled_memcpys: dict[tuple, tuple] = {}
-        #: Phases compiled once per cluster under a caller's key
-        #: (:meth:`compiled_exchange`).
-        self._compiled_exchanges: dict[tuple, CompiledExchange] = {}
+        #: Compiled bills per charge profile, found by the profile's
+        #: identity (:meth:`charge_compute`); each keeps its profile alive.
+        self._compute_bills: dict[int, CompiledBill] = {}
+        self._memcpy_bills: dict[int, CompiledBill] = {}
+        #: Bills built once per cluster under a caller's key (:meth:`compiled`).
+        self._compiled: dict[tuple, object] = {}
         #: Model cost of a whole-cluster allreduce, per payload size.
         self._allreduce_costs: dict[int, float] = {}
         #: Compute-kernel backend; the library default ("vectorized")
@@ -191,8 +195,6 @@ class VirtualCluster:
         clocks = self.clocks
         nodes = self.nodes
         stats = self.stats
-        flops_totals = stats.flops
-        copy_totals = stats.local_copy_bytes
         for rank, flops in compute:
             if not nodes[rank].alive:
                 raise DeadNodeError(f"rank {rank} is failed")
@@ -202,7 +204,7 @@ class VirtualCluster:
             if noisy:
                 seconds = cost_model.perturb(seconds, self.rng)
             clocks[rank] += seconds
-            flops_totals[rank] += float(flops)
+            stats.record_compute(rank, flops)
         for rank, nbytes in memcpy:
             if not nodes[rank].alive:
                 raise DeadNodeError(f"rank {rank} is failed")
@@ -212,7 +214,7 @@ class VirtualCluster:
             if noisy:
                 seconds = cost_model.perturb(seconds, self.rng)
             clocks[rank] += seconds
-            copy_totals[rank] += int(nbytes)
+            stats.record_local_copy(rank, nbytes)
 
     def send(self, src: int, dst: int, nbytes: int, channel: str) -> None:
         """Charge one point-to-point message ``src -> dst``."""
@@ -286,10 +288,15 @@ class VirtualCluster:
         :meth:`~repro.distribution.partition.BlockRowPartition.charge_profile`).
 
         Equivalent to ``charge(compute=profile)``.  A profile is compiled
-        once per cluster into full-length ``seconds`` / ``flops``
-        vectors, so a bill is two whole-vector adds.  Falls back to the
-        per-item loop under cost noise (RNG draw order) or with failed
-        nodes present (liveness errors).
+        once per cluster into a :class:`CompiledBill`, found again by the
+        profile's identity (no hashing of its pairs), so a bill costs
+        O(1) Python: one whole-vector clock add and one use count
+        (:meth:`~repro.cluster.statistics.ClusterStats.add_compute_bill`;
+        the statistics add the counts when read).  Hand the same profile
+        object every time, as the cached partition and preconditioner
+        profiles are; an equal tuple built anew compiles anew.  Falls
+        back to the per-item loop under cost noise (RNG draw order) or
+        with failed nodes present (liveness errors).
 
         Raises
         ------
@@ -297,47 +304,51 @@ class VirtualCluster:
             If the profile does not list every rank once in ascending
             order, or bills a negative amount — on either path.
         """
-        entry = self._compiled_charges.get(profile)
-        if entry is None:
-            entry = self._compile_profile(
-                self._compiled_charges, profile, self.cost_model.gamma, np.float64
+        bill = self._compute_bills.get(id(profile))
+        if bill is None:
+            bill = self._compile_bill(
+                self._compute_bills, profile, self.cost_model.gamma, np.float64
             )
         if self.cost_model.noise != 0.0 or self._dead_count:
             self.charge(compute=profile)
             return
-        seconds, amounts = entry
-        self.clocks += seconds
-        self.stats.flops += amounts
+        clocks = self.clocks
+        clocks += bill.seconds
+        self.stats.add_compute_bill(bill)
 
     def charge_memcpy(self, profile: tuple[tuple[int, float], ...]) -> None:
         """Apply a fixed memcpy bill: ``(rank, nbytes)`` for every rank, ascending.
 
         The memcpy analogue of :meth:`charge_compute`.
         """
-        entry = self._compiled_memcpys.get(profile)
-        if entry is None:
-            entry = self._compile_profile(
-                self._compiled_memcpys, profile, self.cost_model.mu, np.int64
+        bill = self._memcpy_bills.get(id(profile))
+        if bill is None:
+            bill = self._compile_bill(
+                self._memcpy_bills, profile, self.cost_model.mu, np.int64
             )
         if self.cost_model.noise != 0.0 or self._dead_count:
             self.charge(memcpy=profile)
             return
-        seconds, amounts = entry
-        self.clocks += seconds
-        self.stats.local_copy_bytes += amounts
+        clocks = self.clocks
+        clocks += bill.seconds
+        self.stats.add_copy_bill(bill)
 
-    def _compile_profile(
+    def _compile_bill(
         self,
-        cache: dict[tuple, tuple],
+        cache: dict[int, "CompiledBill"],
         profile: tuple[tuple[int, float], ...],
         rate: float,
         dtype: type,
-    ) -> tuple[np.ndarray, np.ndarray]:
+    ) -> "CompiledBill":
         """Full-length ``(seconds, amounts)`` vectors of one bill, cached.
 
         ``seconds[rank] = amount * rate`` is the product the per-item
         :meth:`charge` loop adds, so both paths give the same bits;
-        ``dtype`` is the statistic's (float64 flops, int64 bytes).
+        ``dtype`` is the statistic's (float64 flops, int64 bytes).  The
+        cache is keyed by ``id(profile)`` and the bill holds the profile,
+        so the id cannot be reused while the entry lives; it is emptied
+        when it reaches :data:`MAX_BILLS`, so profiles built anew per
+        call cannot grow it without bound.
         """
         ranks = [rank for rank, _ in profile]
         if ranks != list(range(self.n_nodes)):
@@ -349,9 +360,11 @@ class VirtualCluster:
         if min(amounts) < 0:
             raise ConfigurationError(f"charge amounts must be >= 0, got {min(amounts)}")
         seconds = np.array([amount * rate for amount in amounts], dtype=np.float64)
-        entry = (seconds, np.array(amounts, dtype=dtype))
-        cache[profile] = entry
-        return entry
+        bill = CompiledBill(profile, seconds, np.array(amounts, dtype=dtype))
+        if len(cache) >= MAX_BILLS:
+            cache.clear()
+        cache[id(profile)] = bill
+        return bill
 
     def compile_exchange(
         self,
@@ -377,21 +390,19 @@ class VirtualCluster:
         """
         return CompiledExchange(self, tuple(messages), tuple(piggyback))
 
-    def compiled_exchange(
-        self, key: tuple, messages: Callable[[], Iterable[tuple]]
-    ) -> "CompiledExchange":
-        """``compile_exchange(messages())``, compiled once per ``key``.
+    def compiled(self, key: tuple, build: Callable[[], object]) -> object:
+        """``build()``, called once per ``key`` on this cluster.
 
-        For a phase whose message list is fixed per cluster but built
-        by objects that live for one solve (an IMCR checkpoint round:
-        the strategy is built per request), so the compiled form must
-        outlive them.  ``key`` must determine the message list.
+        For bills fixed per cluster but assembled by objects that live
+        for one solve (an IMCR checkpoint round: the strategy is built
+        per request), so the compiled form must outlive them.  ``key``
+        must determine what ``build`` returns.
         """
-        compiled = self._compiled_exchanges.get(key)
-        if compiled is None:
-            compiled = self.compile_exchange(messages())
-            self._compiled_exchanges[key] = compiled
-        return compiled
+        built = self._compiled.get(key)
+        if built is None:
+            built = build()
+            self._compiled[key] = built
+        return built
 
     def exchange_compiled(self, compiled: "CompiledExchange") -> None:
         """Apply a :meth:`compile_exchange` phase.
@@ -402,7 +413,8 @@ class VirtualCluster:
         sender appears once in ``send_ranks``), every receiver takes
         the max of its clock and its senders' finishes
         (``np.maximum.reduceat`` over the flattened arrival list; max
-        is exact), and the statistics take whole-vector adds.  Falls
+        is exact), and the statistics count one use of the phase
+        (:meth:`~repro.cluster.statistics.ClusterStats.add_exchange`).  Falls
         back to the generic path when cost noise is enabled (every
         message must draw from the RNG in order) or any node is dead
         (to reproduce the partial-accounting-then-raise semantics of
@@ -421,14 +433,7 @@ class VirtualCluster:
         dsts = compiled.arrival_dsts
         latest = np.maximum.reduceat(finish[compiled.arrival_pos], compiled.arrival_starts)
         clocks[dsts] = np.maximum(clocks[dsts], latest)
-        stats = self.stats
-        stats.bytes_sent += compiled.sent_deltas
-        stats.bytes_received += compiled.received_deltas
-        stats.messages_sent += compiled.message_deltas
-        for channel, total_bytes, count in compiled.channel_deltas:
-            totals = stats.channels[channel]
-            totals.bytes += total_bytes
-            totals.messages += count
+        self.stats.add_exchange(compiled)
 
     def allreduce(self, nbytes: int, ranks: Iterable[int] | None = None) -> None:
         """Charge an allreduce across ``ranks`` (default: all alive nodes)."""
@@ -565,6 +570,27 @@ class VirtualCluster:
             node.revive()
             self._dead_count -= 1
             self.clocks[rank] = now
+
+
+class CompiledBill:
+    """One compiled :meth:`VirtualCluster.charge_compute` /
+    :meth:`~VirtualCluster.charge_memcpy` profile.
+
+    ``seconds`` — each rank's clock advance; ``amounts`` — its flops
+    (float64) or bytes (int64); ``integral`` — every amount is a whole
+    number, so the statistics may defer adding it
+    (:mod:`repro.cluster.statistics`); ``profile`` — the source
+    profile, kept alive so its ``id`` keys this bill.  Hashed by
+    identity.
+    """
+
+    __slots__ = ("profile", "seconds", "amounts", "integral")
+
+    def __init__(self, profile: tuple, seconds: np.ndarray, amounts: np.ndarray):
+        self.profile = profile
+        self.seconds = seconds
+        self.amounts = amounts
+        self.integral = bool(np.all(np.mod(amounts, 1) == 0))
 
 
 class CompiledExchange:

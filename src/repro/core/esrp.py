@@ -69,6 +69,14 @@ class ESRPStrategy(ResilienceStrategy):
         self.recovery_point: int | None = None
 
     def _setup(self) -> None:
+        """Fetch the augmented SpMV for (ϕ, rule, destinations).
+
+        Its redundancy plan, flat cache and compiled exchange are built
+        once per matrix plan (:meth:`ASpMVExecutor.plan_for
+        <repro.distribution.aspmv.ASpMVExecutor.plan_for>`), so a
+        session builds them once for all its solves; a solve allocates
+        only its own stashes.
+        """
         require_reconstruction_support(self._engine)
         self._aspmv = ASpMVExecutor(
             self._engine.matrix, self.phi, rule=self.rule,

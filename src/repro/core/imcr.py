@@ -100,15 +100,16 @@ class IMCRStrategy(ResilienceStrategy):
         return nbytes
 
     def _checkpoint_round(self) -> tuple[tuple[tuple[int, int], ...], "CompiledExchange"]:
-        """The bills of one checkpoint, built once per solve.
+        """The bills of one checkpoint, fetched once per solve.
 
         Rank s's payload is its four state blocks plus two scalars,
         ``w_s = _checkpoint_nbytes(2·8 + 4·8·n_s)`` bytes on the wire.
         Returns the memcpy profile ``(s, w_s)`` of the local copies and
-        the message round ``s → buddy`` (``w_s`` bytes each), compiled
+        the message round ``s → buddy`` (``w_s`` bytes each), both built
         once per cluster, ϕ, destinations and wire sizes
-        (:meth:`~repro.cluster.communicator.VirtualCluster.compiled_exchange`):
-        the strategy lives for one solve, the cluster for many.
+        (:meth:`~repro.cluster.communicator.VirtualCluster.compiled`):
+        the strategy lives for one solve, the cluster for many, and the
+        cluster finds a compiled profile by its identity.
         """
         engine = self._engine
         partition = engine.partition
@@ -121,17 +122,17 @@ class IMCRStrategy(ResilienceStrategy):
         )
         buddies = tuple(self._buddies)
 
-        def messages():
-            return [
+        cluster = engine.cluster
+
+        def build():
+            messages = [
                 (rank, buddy, wires[rank], CHECKPOINT_CHANNEL, False)
                 for rank in range(partition.n_nodes)
                 for buddy in buddies[rank]
             ]
+            return tuple(enumerate(wires)), cluster.compile_exchange(messages)
 
-        compiled = engine.cluster.compiled_exchange(
-            (CHECKPOINT_CHANNEL, buddies, wires), messages
-        )
-        return tuple(enumerate(wires)), compiled
+        return cluster.compiled((CHECKPOINT_CHANNEL, buddies, wires), build)
 
     def _take_checkpoint(self, j: int, state: PCGState) -> None:
         """Copy the local state and ship it to the buddies (charged).

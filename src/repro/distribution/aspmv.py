@@ -143,8 +143,9 @@ class ExtraTransfer:
 class RedundancyPlan:
     """Which extra entries each node sends where, for a target ϕ.
 
-    Precomputed once per (matrix plan, ϕ, rule); reused by every
-    augmented product.
+    Depends only on (matrix plan, ϕ, rule, destinations), so
+    :meth:`ASpMVExecutor.plan_for` builds it once per matrix plan and
+    key, and every augmented product of every solve reuses it.
     """
 
     def __init__(
@@ -343,6 +344,8 @@ class FlatRedundancyCache:
             if gather_parts
             else np.empty(0, dtype=np.int64)
         )
+        # Every solve's stashes share these indices: none may write them.
+        self.stash_gather.flags.writeable = False
         # A stash's indices are its own run of the gather (a view, so
         # the plan holds the indices once).
         self.stashes = tuple(
@@ -363,7 +366,7 @@ class FlatRedundancyCache:
         self.messages = tuple(messages)
         self.merged = tuple(merged)
         #: CompiledExchange for (messages, merged); built lazily by the
-        #: vectorized backend against the owning cluster.
+        #: vectorized backend against the owning cluster (the plan's).
         self.compiled = None
 
 
@@ -381,6 +384,9 @@ class ASpMVExecutor(SpMVExecutor):
       piggy-backing on natural messages where possible,
     * pushes ``iteration`` into the redundancy queue and drops evicted
       iterations from every node's store.
+
+    Building one is cheap: the redundancy plan comes from
+    :meth:`plan_for`.  Only the stash arrays are per product.
     """
 
     def __init__(
@@ -391,10 +397,31 @@ class ASpMVExecutor(SpMVExecutor):
         destinations: str = "eq1",
     ):
         super().__init__(matrix)
-        topology = matrix.cluster.topology if destinations == "switch_aware" else None
-        self.redundancy = RedundancyPlan(
-            matrix.plan, phi, rule=rule, destinations=destinations, topology=topology
-        )
+        self.redundancy = self.plan_for(matrix, phi, rule, destinations)
+
+    @staticmethod
+    def plan_for(
+        matrix: DistributedMatrix, phi: int, rule: str, destinations: str
+    ) -> RedundancyPlan:
+        """The matrix plan's :class:`RedundancyPlan` for (ϕ, rule, destinations).
+
+        Built on first request and kept on the
+        :class:`~repro.distribution.comm_plan.SpMVPlan`, like its
+        compiled halos, together with its :class:`FlatRedundancyCache`
+        and compiled exchange once a product has used them.  A
+        :class:`~repro.api.SolverSession` keeps one matrix for all its
+        solves, so each key is built once per session.
+        """
+        key = (int(phi), rule, destinations)
+        plans = matrix.plan._redundancy_plans
+        redundancy = plans.get(key)
+        if redundancy is None:
+            topology = matrix.cluster.topology if destinations == "switch_aware" else None
+            redundancy = RedundancyPlan(
+                matrix.plan, phi, rule=rule, destinations=destinations, topology=topology
+            )
+            plans[key] = redundancy
+        return redundancy
 
     @property
     def phi(self) -> int:

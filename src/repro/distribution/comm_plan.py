@@ -113,6 +113,10 @@ class SpMVPlan:
         #: a plan lives inside one DistributedMatrix, which binds it to
         #: exactly one cluster).
         self._compiled_exchanges: dict[str, object] = {}
+        #: (ϕ, rule, destinations) -> RedundancyPlan, with its flat cache
+        #: and compiled exchange (see ``ASpMVExecutor``); read-only, so
+        #: every solve on the owning cluster shares them.
+        self._redundancy_plans: dict[tuple, object] = {}
 
     # ------------------------------------------------------------------ queries
 

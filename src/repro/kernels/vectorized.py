@@ -36,7 +36,11 @@ block views, so:
   ``(rank, amount)`` profiles handed to
   :meth:`~repro.cluster.communicator.VirtualCluster.charge_compute` /
   ``charge_memcpy`` in the order a per-rank loop incurs them, which
-  keeps clocks, statistics and cost-noise RNG draws identical.
+  keeps clocks, statistics and cost-noise RNG draws identical.  The
+  profiles are the partition's and preconditioner's cached tuples, so
+  the cluster finds each compiled bill by the tuple's identity, and a
+  bill is one clock add plus a use count that the statistics add up
+  when read (:mod:`repro.cluster.statistics`).
 
 Charges are issued *before* the fused numeric touches the data, so a
 dead rank raises before any block or redundancy store is updated.

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.campaign import ScenarioContext, ScenarioSpec, generate_schedule
+from repro.campaign import CampaignSpec, ScenarioContext, ScenarioSpec, generate_schedule
 from repro.campaign.scenarios import scenario_kinds
 from repro.exceptions import ConfigurationError
 
@@ -108,6 +108,20 @@ def test_bad_parameters_raise_configuration_error():
     with pytest.raises(ConfigurationError):
         # unknown keyword for the generator
         generate_schedule(ScenarioSpec("fraction", (("surprise", 1),)), ctx())
+
+
+def test_a_misspelled_parameter_fails_when_the_campaign_is_declared():
+    with pytest.raises(ConfigurationError, match="probabilty"):
+        ScenarioSpec.make("sdc", probabilty=0.9)
+    with pytest.raises(ConfigurationError, match="probabilty"):
+        CampaignSpec.from_dict({
+            "problems": [["emilia_923_like", "tiny"]],
+            "scenarios": [{"kind": "sdc", "probabilty": 0.9}],
+        })
+    # Correct names pass, the models' included.
+    ScenarioSpec.make("sdc", probability=0.9)
+    ScenarioSpec.make("churn", leave_probability=1.0)
+    ScenarioSpec.make("lossy", count=3, location="center")
 
 
 def test_scenario_labels_are_stable():

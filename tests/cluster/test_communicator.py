@@ -97,7 +97,13 @@ class TestAccountingFastPaths:
             compiled.charge_memcpy(self.NBYTES)
             per_item.charge(compute=self.FLOPS)
             per_item.charge(memcpy=self.NBYTES)
-        assert self.FLOPS in compiled._compiled_charges  # the compiled path ran
+        # The compiled path ran: each profile's bill was found by the
+        # profile's identity and counted three times, not yet added.
+        flops_bill = compiled._compute_bills[id(self.FLOPS)]
+        copy_bill = compiled._memcpy_bills[id(self.NBYTES)]
+        assert flops_bill.profile is self.FLOPS and copy_bill.profile is self.NBYTES
+        assert compiled.stats._compute_bills == {flops_bill: 3}
+        assert compiled.stats._copy_bills == {copy_bill: 3}
         assert compiled.clocks.tobytes() == per_item.clocks.tobytes()
         assert compiled.stats.flops.tobytes() == per_item.stats.flops.tobytes()
         assert (

@@ -54,13 +54,6 @@ class TestComputeAndMemory:
         stats.record_local_copy(1, 256)
         assert stats.local_copy_bytes[1] == 256
 
-    def test_redundancy_footprint_keeps_peak(self):
-        stats = ClusterStats(2)
-        stats.record_redundancy_footprint(0, 100)
-        stats.record_redundancy_footprint(0, 50)
-        stats.record_redundancy_footprint(0, 200)
-        assert stats.redundancy_peak_bytes[0] == 200
-
 
 class TestSummary:
     def test_summary_keys(self):

@@ -125,8 +125,15 @@ def test_every_generator_is_seed_deterministic(spec, phi, seed):
 )
 @settings(max_examples=40, deadline=None)
 def test_every_kind_rejects_an_unknown_parameter(spec, key, value):
-    # A misspelled parameter must not run the generator at its defaults.
-    typo = ScenarioSpec.make(spec.kind, **dict(spec.params), **{key: value})
+    # A misspelled parameter must not run the generator at its defaults,
+    # and is refused when the scenario is declared.
+    params = {**dict(spec.params), key: value}
+    with pytest.raises(ConfigurationError, match=key):
+        ScenarioSpec.make(spec.kind, **params)
+    with pytest.raises(ConfigurationError, match=key):
+        ScenarioSpec.from_dict({"kind": spec.kind, **params})
+    # A spec built around ``make`` still fails when its schedule is generated.
+    typo = ScenarioSpec(kind=spec.kind, params=tuple(sorted(params.items())))
     ctx = ScenarioContext(
         n_nodes=N_NODES, phi=1, strategy="esrp", T=10, reference_iterations=80, seed=0
     )
