@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import CostModel, VirtualCluster, zero_cost_model
+from repro.cluster.communicator import MAX_BILLS
 from repro.distribution import BlockRowPartition, DistributedVector
 from repro.exceptions import ClusterError, ConfigurationError, DeadNodeError
 
@@ -110,6 +111,16 @@ class TestAccountingFastPaths:
             compiled.stats.local_copy_bytes.tobytes()
             == per_item.stats.local_copy_bytes.tobytes()
         )
+
+    def test_profiles_built_anew_per_call_keep_the_bill_cache_bounded(self):
+        compiled, per_item = costed_cluster(), costed_cluster()
+        for _ in range(MAX_BILLS + 50):
+            fresh = tuple(list(self.FLOPS))  # equal, but a new tuple each call
+            compiled.charge_compute(fresh)
+            per_item.charge(compute=self.FLOPS)
+        assert len(compiled._compute_bills) <= MAX_BILLS
+        assert compiled.clocks.tobytes() == per_item.clocks.tobytes()
+        assert compiled.stats.flops.tobytes() == per_item.stats.flops.tobytes()
 
     @pytest.mark.parametrize("noise", [0.0, 0.1])
     @pytest.mark.parametrize(
