@@ -8,11 +8,12 @@ through the fast paths a solve uses — compiled ``charge_compute`` /
 Both also see per-rank ``compute`` / ``memcpy`` calls with non-integral
 amounts, group allreduces, fault counters, failures, replacements,
 resets and statistics read mid-stream, with cost noise on or off.
-After every read and at the end, the two must hold byte-equal clocks,
-every :class:`~repro.cluster.statistics.ClusterStats` array, the same
-channel totals in the same order, the same fault counters and
-``summary()``, and the same noise RNG state; an operation that raises
-must raise the same error on both.
+A statistic read mid-stream must read the same on both; at the end the
+two must hold byte-equal clocks, every
+:class:`~repro.cluster.statistics.ClusterStats` array, the same channel
+totals in the same order, the same fault counters and ``summary()``,
+and the same noise RNG state; an operation that raises must raise the
+same error on both.
 """
 
 from __future__ import annotations
