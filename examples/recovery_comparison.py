@@ -59,11 +59,10 @@ def main() -> None:
         ("least squares", "least_squares"),
         ("full restart", "full_restart"),
     ]
-    reports = session.solve_many(
-        [repro.SolveRequest(strategy=strategy, phi=1, failures=[failure])
-         for _label, strategy in labels]
-    )
-    for (label, _strategy), report in zip(labels, reports):
+    for label, strategy in labels:
+        report = session.solve(
+            repro.SolveRequest(strategy=strategy, phi=1, failures=[failure])
+        )
         assert report.converged
         extra = report.iterations - reference.iterations
         print(f"{label:22s} {report.iterations:10d} {extra:+6d}   "

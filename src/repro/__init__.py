@@ -34,11 +34,11 @@ trajectory) and serves many solves against it::
     print(report.iterations, report.total_overhead, report.converged)
 
     # sweep the same problem without re-paying setup:
-    reports = session.solve_many(
-        [repro.SolveRequest(strategy=s, T=20, phi=2)
-         for s in ("esr", "esrp", "imcr")],
-        with_reference=True,
-    )
+    reports = [
+        session.solve(repro.SolveRequest(strategy=s, T=20, phi=2),
+                      with_reference=True)
+        for s in ("esr", "esrp", "imcr")
+    ]
 
 For one-shot use the classic convenience wrapper still works — it is a
 thin shim over a throwaway session::
@@ -55,7 +55,7 @@ Third-party components plug in via the registries::
     from repro.api import register_strategy
 
     @register_strategy("my_strategy")
-    def build(T=1, phi=1, **_):
+    def build(T=1, phi=1):
         return MyStrategy(T=T, phi=phi)
 """
 

@@ -12,7 +12,7 @@ replaces those with decorator-based registries so that
       from repro.api import register_strategy
 
       @register_strategy("my_strategy", aliases=("mine",))
-      def build(T=1, phi=1, **_):
+      def build(T=1, phi=1):
           return MyStrategy(T=T, phi=phi)
 
 * declarative :class:`~repro.api.request.SolveRequest` objects can
@@ -26,10 +26,13 @@ for tests and deliberate monkey-patching).
 Builder conventions
 -------------------
 ``strategy``
-    Called with keyword arguments ``T``, ``phi``, ``rule`` and
-    ``destinations``; must return a
-    :class:`~repro.solvers.engine.ResilienceStrategy`.  Accept ``**_``
-    for knobs you ignore.
+    Called with those of the request fields :data:`STRATEGY_KNOBS`
+    (``T``, ``phi``, ``rule``, ``destinations``) it names — all of them
+    if it takes ``**kwargs`` — plus the request's ``strategy_params``;
+    must return a :class:`~repro.solvers.engine.ResilienceStrategy`.
+    A ``strategy_params`` key the builder does not name is refused when
+    the request is built (:func:`check_strategy_params`), unless the
+    builder takes ``**kwargs``.
 ``preconditioner``
     Called with the user's keyword arguments; must return a
     :class:`~repro.preconditioners.base.Preconditioner`.
@@ -45,9 +48,14 @@ Builder conventions
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable
+import functools
+import inspect
+from typing import Any, Callable, Iterable, Mapping
 
 from ..exceptions import ConfigurationError
+
+#: A builder's signature, worked out once per builder.
+builder_signature = functools.lru_cache(maxsize=None)(inspect.signature)
 
 
 def canonical_name(name: str) -> str:
@@ -171,6 +179,31 @@ PRECONDITIONERS = Registry("preconditioner")
 MATRICES = Registry("matrix")
 #: Compute-kernel backends (built-ins registered by :mod:`repro.kernels`).
 KERNELS = Registry("kernel backend")
+
+
+#: The request fields a strategy builder is called with, if it names them.
+STRATEGY_KNOBS = ("T", "phi", "rule", "destinations")
+
+
+def check_strategy_params(name: str, params: Mapping[str, Any]) -> None:
+    """Refuse ``strategy_params`` that strategy ``name``'s builder does not take.
+
+    Raises :class:`~repro.exceptions.ConfigurationError` for a key the
+    builder does not name (unless it takes ``**kwargs``) and for the
+    request fields :data:`STRATEGY_KNOBS`, which are set on the request
+    itself.  Values are checked by the builder.
+    """
+    knobs = sorted(set(params).intersection(STRATEGY_KNOBS))
+    if knobs:
+        raise ConfigurationError(
+            f"strategy_params may not set the request fields {knobs}"
+        )
+    try:
+        builder_signature(STRATEGIES.get(name)).bind_partial(**params)
+    except TypeError as exc:
+        raise ConfigurationError(
+            f"bad strategy_params for strategy {name!r}: {exc}"
+        ) from exc
 
 
 def register_strategy(name: str, *, aliases: Iterable[str] = (), overwrite: bool = False):

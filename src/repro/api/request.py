@@ -4,7 +4,8 @@ A :class:`SolveRequest` captures everything about one resilient solve
 *except* the problem itself (the matrix/right-hand side belong to the
 :class:`~repro.api.session.SolverSession` serving the request).  It
 
-* validates eagerly — unknown strategy/preconditioner names, ``T < 1``,
+* validates eagerly — unknown strategy/preconditioner names,
+  ``strategy_params`` the strategy's builder does not take, ``T < 1``,
   ``phi < 1``, ``maxiter < 1`` and ``phi >= n_nodes`` (when the target
   cluster size is stated) all raise
   :class:`~repro.exceptions.ConfigurationError` at construction, not
@@ -31,7 +32,7 @@ from typing import Any, Mapping
 from ..cluster.failures import FailureEvent, FailureSchedule
 from ..exceptions import ConfigurationError
 from ..faults.events import SDCEvent, event_from_dict
-from .registry import KERNELS, PRECONDITIONERS, STRATEGIES
+from .registry import KERNELS, PRECONDITIONERS, STRATEGIES, check_strategy_params
 
 
 def _normalise_failures(failures) -> tuple:
@@ -69,7 +70,8 @@ class SolveRequest:
     precond_params: dict[str, Any] = dataclasses.field(default_factory=dict)
     #: Extra keyword arguments for the strategy builder (e.g.
     #: ``threshold``/``mode`` for ``pv``, ``error_bound``/``ratio`` for
-    #: ``lossy_imcr``).  Builders ignore keys they don't take.
+    #: ``lossy_imcr``).  A key the builder does not take is refused at
+    #: construction.
     strategy_params: dict[str, Any] = dataclasses.field(default_factory=dict)
     rtol: float = 1e-8
     maxiter: int | None = None
@@ -106,6 +108,7 @@ class SolveRequest:
         )
         object.__setattr__(self, "precond_params", dict(self.precond_params))
         object.__setattr__(self, "strategy_params", dict(self.strategy_params))
+        check_strategy_params(self.strategy, self.strategy_params)
         object.__setattr__(self, "failures", _normalise_failures(self.failures))
         if self.backend is not None:
             object.__setattr__(self, "backend", KERNELS.resolve(self.backend))

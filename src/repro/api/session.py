@@ -102,7 +102,7 @@ import pathlib
 import tempfile
 import time
 from collections import Counter
-from typing import Any, Iterable, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -633,6 +633,10 @@ class SolverSession:
             raise ConfigurationError(
                 "pass either a SolveRequest or keyword arguments, not both"
             )
+        elif not isinstance(request, SolveRequest):
+            raise ConfigurationError(
+                f"solve expects a SolveRequest, got {type(request).__name__}"
+            )
         request.validate_for(self._n_nodes)
         if request.x0 == "previous":
             if x0 is not None:
@@ -652,29 +656,6 @@ class SolverSession:
         result, _ = self._execute(request, x0=x0)
         self._last_x = result.x
         return self._report(request, result, reference)
-
-    def solve_many(
-        self,
-        requests: Iterable[SolveRequest],
-        *,
-        with_reference: bool = False,
-    ) -> list[SolveReport]:
-        """Serve a batch of requests against the shared setup.
-
-        All requests are validated against the session cluster before
-        the first engine runs (a typo in request #7 should not cost the
-        wall-time of requests #1–6).
-        """
-        batch: Sequence[SolveRequest] = list(requests)
-        for request in batch:
-            if not isinstance(request, SolveRequest):
-                raise ConfigurationError(
-                    f"solve_many expects SolveRequest items, got {type(request).__name__}"
-                )
-            request.validate_for(self._n_nodes)
-        return [
-            self.solve(request, with_reference=with_reference) for request in batch
-        ]
 
     # --------------------------------------------------------------- reports
 

@@ -26,6 +26,7 @@ import functools
 import os
 from typing import Callable, Sequence
 
+from ..api.registry import STRATEGIES
 from ..api.request import SolveRequest
 from ..exceptions import ConfigurationError
 from ..solvers.residual_replacement import drift_from_result
@@ -120,10 +121,11 @@ def run_one(run: RunSpec) -> CampaignRunRecord:
         failures = generate_schedule(run.scenario, ctx)
 
     # The lossy regime's error-model parameters ride on the scenario;
-    # hand them to the strategy builder (non-lossy strategies ignore
-    # them, so the same scenario A/Bs cleanly against exact baselines).
+    # only ``lossy_imcr`` takes them, so the same scenario A/Bs cleanly
+    # against exact baselines.
     strategy_params: dict = {}
-    if run.scenario.kind == "lossy" and run.strategy != "reference":
+    lossy = STRATEGIES.resolve(run.strategy) == "lossy_imcr"
+    if run.scenario.kind == "lossy" and lossy:
         params = dict(run.scenario.params)
         strategy_params = {
             "error_bound": params.get("error_bound", 1e-4),

@@ -53,10 +53,10 @@ request that declares a misspelled parameter fails up front).
 from __future__ import annotations
 
 import dataclasses
-import functools
 import inspect
 from typing import Any, Callable, Mapping
 
+from ..api.registry import builder_signature
 from ..cluster.failures import (
     FailureEvent,
     FailureSchedule,
@@ -118,7 +118,7 @@ class ScenarioSpec:
                 f"unknown scenario kind {kind!r}; available: {', '.join(scenario_kinds())}"
             )
         try:
-            _signature(SCENARIO_KINDS[kind]).bind(None, **params)
+            builder_signature(SCENARIO_KINDS[kind]).bind(None, **params)
         except TypeError as exc:
             raise ConfigurationError(f"bad parameters for scenario {kind!r}: {exc}") from exc
         # Sequence-valued parameters (e.g. per-node corruption_chances)
@@ -313,10 +313,6 @@ def _mtbf(
     # poisson_schedule may draw an arrival inside iteration 0; campaign
     # events must fire strictly inside the solve (iteration >= 1).
     return FailureSchedule([e for e in schedule if e.iteration >= 1])
-
-
-#: A generator's signature, worked out once per generator.
-_signature = functools.lru_cache(maxsize=None)(inspect.signature)
 
 
 def _from_model(model: type) -> Callable[..., FailureSchedule]:

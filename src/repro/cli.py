@@ -279,8 +279,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="listen port (0 = ephemeral)")
     serve_cmd.add_argument("--pool-size", type=int, default=None, metavar="N",
                            help="max concurrently cached solver sessions")
-    serve_cmd.add_argument("--max-batch", type=int, default=None, metavar="N",
-                           help="max requests a batch leader solves before replying")
     serve_cmd.add_argument("--cache-dir", nargs="?", const=DEFAULT_CACHE_DIR,
                            default=None, metavar="DIR",
                            help="disk trajectory cache for warm session "
@@ -592,13 +590,12 @@ def _cmd_info(_args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .serve import ServeRequest, SolverServer, run_load
-    from .serve.service import DEFAULT_MAX_BATCH, DEFAULT_POOL_SIZE
+    from .serve.service import BATCH_SIZE, DEFAULT_POOL_SIZE
 
     server = SolverServer(
         host=args.host,
         port=args.port,
         pool_size=args.pool_size or DEFAULT_POOL_SIZE,
-        max_batch=args.max_batch or DEFAULT_MAX_BATCH,
         cache_dir=args.cache_dir,
         verbose=not args.quiet,
     )
@@ -606,7 +603,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     host, port = server.address
     pool = server.service.pool
     print(f"repro serve listening on http://{host}:{port} "
-          f"(pool={pool.capacity}, max_batch={server.service.max_batch})",
+          f"(pool={pool.capacity}, batch={BATCH_SIZE})",
           flush=True)
     if args.load:
         # Self-test: a config-skewed load run against our own endpoint.

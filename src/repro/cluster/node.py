@@ -13,9 +13,9 @@ node's memory and is therefore lost when the node fails:
 * buddy checkpoints received from other nodes (IMCR).
 
 Code that fills or empties these stores goes through the methods below
-(:meth:`NodeState.keep`, :meth:`~NodeState.stash_redundant`,
-:meth:`~NodeState.hold_redundant`, :meth:`~NodeState.hold_checkpoint`,
-:meth:`~NodeState.drop_redundant`, :meth:`~NodeState.wipe`), which keep
+(:meth:`NodeState.keep`, :meth:`~NodeState.hold_redundant`,
+:meth:`~NodeState.hold_checkpoint`, :meth:`~NodeState.drop_redundant`,
+:meth:`~NodeState.wipe`), which keep
 :attr:`NodeState.redundancy_nbytes`, the running byte count of all
 three, so a footprint snapshot reads one integer per node instead of
 re-summing every array (:meth:`~NodeState.redundancy_bytes` still does,
@@ -67,29 +67,6 @@ class NodeState:
         self.store[name] = block
 
     # -- redundancy store ------------------------------------------------------
-
-    def stash_redundant(
-        self, iteration: int, owner: int, indices: np.ndarray, values: np.ndarray
-    ) -> None:
-        """Store (part of) owner's search-direction entries for ``iteration``.
-
-        Multiple stashes for the same (iteration, owner) — the natural
-        halo part and the ASpMV extras — are concatenated.
-        """
-        iteration = int(iteration)
-        per_owner = self.redundancy.setdefault(iteration, {})
-        old = per_owner.get(owner)
-        if old is not None:
-            old_idx, old_val = old
-            indices = np.concatenate([old_idx, np.asarray(indices, dtype=np.int64)])
-            values = np.concatenate([old_val, np.asarray(values, dtype=np.float64)])
-        entry = (np.asarray(indices, dtype=np.int64), np.asarray(values, dtype=np.float64))
-        per_owner[int(owner)] = entry
-        grown = entry[0].nbytes + entry[1].nbytes
-        if old is not None:
-            grown -= old[0].nbytes + old[1].nbytes
-        self._stash_nbytes[iteration] = self._stash_nbytes.get(iteration, 0) + grown
-        self.redundancy_nbytes += grown
 
     def hold_redundant(
         self,

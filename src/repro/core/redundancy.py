@@ -68,20 +68,6 @@ class RedundancyQueue:
         """True if both iterations of a consecutive pair are present."""
         return older in self and newer in self
 
-    def latest_consecutive_pair(self) -> tuple[int, int] | None:
-        """The newest pair (j, j+1) fully contained in the queue.
-
-        This is the recovery point: ESR reconstructs iteration j+1 from
-        p′^{(j)} and p′^{(j+1)}.
-        """
-        best: tuple[int, int] | None = None
-        present = set(self._items)
-        for j in present:
-            if j + 1 in present:
-                if best is None or j + 1 > best[1]:
-                    best = (j, j + 1)
-        return best
-
     def render(self) -> str:
         """Fig.-1-style rendering, e.g. ``[_, p'(20), p'(21)]``."""
         slots = ["_"] * (self.capacity - len(self._items)) + [

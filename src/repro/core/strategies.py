@@ -10,7 +10,7 @@ lives in the ``esrp`` builder.
 
 from __future__ import annotations
 
-from ..api.registry import STRATEGIES, register_strategy
+from ..api.registry import STRATEGIES, builder_signature, register_strategy
 from ..solvers.engine import NoResilience, ResilienceStrategy
 from .baselines import (
     FullRestartStrategy,
@@ -46,18 +46,18 @@ def available_strategies() -> tuple[str, ...]:
 
 
 @register_strategy("reference", aliases=("none", "pcg"))
-def _build_reference(**_) -> ResilienceStrategy:
+def _build_reference() -> ResilienceStrategy:
     return NoResilience()
 
 
 @register_strategy("esr")
-def _build_esr(phi: int = 1, rule: str = "paper", destinations: str = "eq1", **_):
+def _build_esr(phi: int = 1, rule: str = "paper", destinations: str = "eq1"):
     return ESRStrategy(phi=phi, rule=rule, destinations=destinations)
 
 
 @register_strategy("esrp")
 def _build_esrp(
-    T: int = 1, phi: int = 1, rule: str = "paper", destinations: str = "eq1", **_
+    T: int = 1, phi: int = 1, rule: str = "paper", destinations: str = "eq1"
 ):
     if T <= 2:
         # The paper's degenerate cases: ESRP with T in {1,2} is ESR.
@@ -66,28 +66,28 @@ def _build_esrp(
 
 
 @register_strategy("imcr", aliases=("cr", "checkpoint"))
-def _build_imcr(T: int = 1, phi: int = 1, **_) -> ResilienceStrategy:
+def _build_imcr(T: int = 1, phi: int = 1) -> ResilienceStrategy:
     return IMCRStrategy(T=max(T, 1), phi=phi)
 
 
 @register_strategy("full_restart")
-def _build_full_restart(**_) -> ResilienceStrategy:
+def _build_full_restart() -> ResilienceStrategy:
     return FullRestartStrategy()
 
 
 @register_strategy("linear_interpolation", aliases=("lininterp", "li"))
-def _build_linear_interpolation(**_) -> ResilienceStrategy:
+def _build_linear_interpolation() -> ResilienceStrategy:
     return LinearInterpolationRecovery()
 
 
 @register_strategy("least_squares", aliases=("lsq",))
-def _build_least_squares(**_) -> ResilienceStrategy:
+def _build_least_squares() -> ResilienceStrategy:
     return LeastSquaresRecovery()
 
 
 @register_strategy("pv", aliases=("periodic_verification",))
 def _build_pv(
-    T: int = 1, phi: int = 1, threshold: float = PV_THRESHOLD, mode: str = "backward", **_
+    T: int = 1, phi: int = 1, threshold: float = PV_THRESHOLD, mode: str = "backward"
 ) -> ResilienceStrategy:
     return PeriodicVerificationStrategy(
         T=max(T, 1), phi=phi, threshold=threshold, mode=mode
@@ -96,7 +96,7 @@ def _build_pv(
 
 @register_strategy("pv_forward", aliases=("pvf",))
 def _build_pv_forward(
-    T: int = 1, phi: int = 1, threshold: float = PV_THRESHOLD, **_
+    T: int = 1, phi: int = 1, threshold: float = PV_THRESHOLD
 ) -> ResilienceStrategy:
     return PeriodicVerificationStrategy(
         T=max(T, 1), phi=phi, threshold=threshold, mode="forward"
@@ -110,7 +110,6 @@ def _build_lossy_imcr(
     error_bound: float = 1e-4,
     ratio: float = 4.0,
     seed: int = 0,
-    **_,
 ) -> ResilienceStrategy:
     return LossyIMCRStrategy(
         T=max(T, 1), phi=phi, error_bound=error_bound, ratio=ratio, seed=seed
@@ -146,9 +145,14 @@ def make_strategy(
     **extra:
         Strategy-specific parameters forwarded verbatim to the builder
         (e.g. ``threshold``/``mode`` for ``pv``, ``error_bound``/
-        ``ratio`` for ``lossy_imcr``); builders ignore what they don't
-        take.
+        ``ratio`` for ``lossy_imcr``).
+
+    The builder gets those of ``T``, ``phi``, ``rule`` and
+    ``destinations`` it names, or all four if it takes ``**kwargs``.
     """
-    return STRATEGIES.create(
-        name, T=T, phi=phi, rule=rule, destinations=destinations, **extra
-    )
+    builder = STRATEGIES.get(name)
+    knobs = {"T": T, "phi": phi, "rule": rule, "destinations": destinations}
+    parameters = builder_signature(builder).parameters
+    if not any(p.kind is p.VAR_KEYWORD for p in parameters.values()):
+        knobs = {key: value for key, value in knobs.items() if key in parameters}
+    return builder(**knobs, **extra)

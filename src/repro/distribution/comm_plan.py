@@ -108,7 +108,6 @@ class SpMVPlan:
 
         # Fused-kernel caches (built lazily; see the accessors below).
         self._flat_cache: FlatPlanCache | None = None
-        self._message_templates: dict[str, tuple] = {}
         #: channel -> CompiledExchange (valid for the owning cluster;
         #: a plan lives inside one DistributedMatrix, which binds it to
         #: exactly one cluster).
@@ -161,24 +160,6 @@ class SpMVPlan:
         if self._flat_cache is None:
             self._flat_cache = FlatPlanCache(self)
         return self._flat_cache
-
-    def message_template(self, channel: str) -> tuple:
-        """The halo exchange's message list, precomputed per channel.
-
-        ``(src, dst, nbytes, channel, merged)`` tuples: for each source
-        rank in ascending order, one entry per non-empty send
-        descriptor.
-        """
-        template = self._message_templates.get(channel)
-        if template is None:
-            template = tuple(
-                (src, d.dst, d.count * 8, channel, False)
-                for src in range(self.n_nodes)
-                for d in self.sends[src]
-                if d.count > 0
-            )
-            self._message_templates[channel] = template
-        return template
 
 
 class FlatPlanCache:

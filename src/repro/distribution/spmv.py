@@ -43,12 +43,18 @@ class SpMVExecutor:
 
         Compiled once per (plan, channel) against the owning cluster's
         cost model and topology; used by the vectorized backend to
-        declare the whole message phase analytically.
+        declare the whole message phase analytically.  Its messages are
+        ``(src, dst, nbytes, channel, merged)`` tuples: for each source
+        rank in ascending order, one per non-empty send descriptor.
         """
         compiled = self.plan._compiled_exchanges.get(channel)
         if compiled is None:
+            plan = self.plan
             compiled = self.cluster.compile_exchange(
-                self.plan.message_template(channel)
+                (src, d.dst, d.count * 8, channel, False)
+                for src in range(plan.n_nodes)
+                for d in plan.sends[src]
+                if d.count > 0
             )
             self.plan._compiled_exchanges[channel] = compiled
         return compiled

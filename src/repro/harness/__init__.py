@@ -7,7 +7,6 @@ below take.
 """
 
 from .calibration import BENCH_COST_MODEL
-from .metrics import relative_overhead
 from .paper import PAPER_TABLE2, PAPER_TABLE3, PAPER_TABLE4, PAPER_TABLES
 from .tables import paper_table, render_drift_table, render_overhead_table
 from .figures import OverheadSeries, ascii_log_plot, overhead_series, render_queue_trace
@@ -22,7 +21,6 @@ __all__ = [
     "ascii_log_plot",
     "overhead_series",
     "paper_table",
-    "relative_overhead",
     "render_drift_table",
     "render_overhead_table",
     "render_queue_trace",

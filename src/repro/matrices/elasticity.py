@@ -18,13 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..exceptions import ConfigurationError
-from .poisson import poisson_3d_27pt
-
-
-def _kron(a, b):
-    """Kronecker product in CSR form (scipy defaults to BSR, whose
-    sums keep duplicate blocks with explicit zeros)."""
-    return sp.kron(a, b, format="csr")
+from .poisson import _kron, poisson_3d_27pt
 
 #: Degrees of freedom per grid point in the vector-valued problems.
 DOFS_PER_POINT = 3

@@ -46,13 +46,7 @@ from ..api.registry import MATRICES, register_matrix
 from ..exceptions import ConfigurationError
 from .elasticity import DOFS_PER_POINT, coupling_block
 from .io_mm import read_matrix_market
-from .poisson import layered_kappa_field, poisson_3d_27pt, variable_poisson_3d
-
-
-def _kron(a, b):
-    """Kronecker product in CSR form (scipy defaults to BSR, whose
-    sums keep duplicate blocks with explicit zeros)."""
-    return sp.kron(a, b, format="csr")
+from .poisson import _kron, layered_kappa_field, poisson_3d_27pt, variable_poisson_3d
 
 #: Paper reference data (Table 1 + reference runs of Tables 2/3).
 PAPER_REFERENCE = {

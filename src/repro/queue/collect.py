@@ -30,7 +30,7 @@ from typing import Iterator
 
 from ..campaign.results import CampaignResult, CampaignRunRecord
 from ..exceptions import ConfigurationError
-from .segment import iter_payloads, read_footer
+from .segment import iter_payloads
 from .store import QueueStore
 
 
@@ -63,15 +63,6 @@ def iter_shard_records(shard: pathlib.Path) -> Iterator[CampaignRunRecord]:
                     f"{shard}:{lineno} holds invalid record JSON"
                 ) from None
             yield CampaignRunRecord.from_dict(payload)
-
-
-def read_segment_footer(path: pathlib.Path) -> dict:
-    """Validate a compacted segment's trailer and return its footer index.
-
-    A thin alias of :func:`repro.queue.segment.read_footer`, kept under
-    its historical name for importers.
-    """
-    return read_footer(path)
 
 
 def iter_segment_records(path: pathlib.Path) -> Iterator[CampaignRunRecord]:

@@ -687,18 +687,6 @@ class QueueStore:
             return False  # someone else reclaimed (or released) it first
         return True
 
-    def reclaim_expired(self, reclaimer: str = "reclaimer") -> int:
-        """Tombstone every expired lease; returns how many were reclaimed."""
-        count = 0
-        now = time.time()
-        for path in self._dir("leases").glob("*.json"):
-            task_id = path.stem
-            lease = self.read_lease(task_id)
-            if lease is not None and lease.expired(now):
-                if self._reclaim(task_id, lease, reclaimer):
-                    count += 1
-        return count
-
     @staticmethod
     def _check_link_safety() -> None:
         """The documented adversarial-filesystem gate.

@@ -1,8 +1,8 @@
 """``repro.serve`` — the pooled, batched, hash-stamped solver service.
 
-ROADMAP open item 1.  Turns the library's :class:`~repro.api.session.
-SolverSession` into a long-lived HTTP service (``repro serve``) that
-amortises setup cost across requests instead of paying it per process.
+Turns the library's :class:`~repro.api.session.SolverSession` into a
+long-lived HTTP service (``repro serve``) that amortises setup cost
+across requests instead of paying it per process.
 
 Architecture — three layers, each usable alone:
 
@@ -20,7 +20,8 @@ Architecture — three layers, each usable alone:
     :class:`SolverService`: validates :class:`ServeRequest`\\ s, runs
     them through the pool with **request batching** (concurrent
     requests for one session are solved by a single batch leader, one
-    ``SolverSession.solve`` each), and wraps every answer in a **versioned,
+    ``SolverSession.solve`` each, in groups of the constant
+    ``service.BATCH_SIZE``), and wraps every answer in a **versioned,
     hash-stamped response**: ``response_digest`` is the sha256 over the
     canonical JSON of ``{version, engine, problem_digest,
     request_fingerprint, report}``.  Wall-clock timing and pool hit
@@ -41,7 +42,6 @@ Architecture — three layers, each usable alone:
 from .load import LoadReport, get_json, post_json, run_load
 from .pool import PooledSession, SessionPool
 from .service import (
-    DEFAULT_MAX_BATCH,
     DEFAULT_POOL_SIZE,
     ENGINE,
     RESPONSE_VERSION,
@@ -56,7 +56,6 @@ from .service import (
 from .http import SolverServer
 
 __all__ = [
-    "DEFAULT_MAX_BATCH",
     "DEFAULT_POOL_SIZE",
     "ENGINE",
     "RESPONSE_VERSION",

@@ -87,10 +87,13 @@ class _Handler(BaseHTTPRequestHandler):
             self._reply_error(ConfigurationError(f"no such route: POST {self.path}"))
             return
         try:
-            length = int(self.headers.get("Content-Length") or 0)
+            header = self.headers.get("Content-Length") or "0"
+            length = int(header) if header.isdecimal() else -1
             if length <= 0 or length > MAX_BODY_BYTES:
+                self.close_connection = True  # the body, if any, stays unread
                 raise ConfigurationError(
-                    f"request body must be 1..{MAX_BODY_BYTES} bytes, got {length}"
+                    f"request body must be 1..{MAX_BODY_BYTES} bytes, "
+                    f"got Content-Length {header!r}"
                 )
             try:
                 payload = json.loads(self.rfile.read(length))

@@ -12,8 +12,8 @@ the :class:`~repro.api.request.SolveRequest` to run against it; a
   appends ``(request, future)`` to the session's pending deque, and
   whoever acquires the session lock first becomes the batch leader,
   solving the deque's requests one by one with
-  :meth:`~repro.api.session.SolverSession.solve` in ``max_batch``
-  groups while later arrivals simply wait on their futures;
+  :meth:`~repro.api.session.SolverSession.solve` in groups of
+  :data:`BATCH_SIZE` while later arrivals simply wait on their futures;
 * replies are **hash-stamped** (see :func:`stamp_response`): the digest
   covers the engine version, the problem-content digest, the request
   fingerprint and the canonical report, so a reply is verifiable and
@@ -52,9 +52,9 @@ ENGINE = f"repro-{__version__}"
 #: Default session-pool capacity.
 DEFAULT_POOL_SIZE = 4
 
-#: Default number of requests a batch leader solves before handing
-#: out their outcomes.
-DEFAULT_MAX_BATCH = 8
+#: Number of requests a batch leader solves before handing out their
+#: outcomes.
+BATCH_SIZE = 8
 
 
 class ServiceClosed(ReproError):
@@ -99,6 +99,10 @@ class ServeRequest:
         if not isinstance(self.request, SolveRequest):
             raise ConfigurationError(
                 f"request must be a SolveRequest, got {type(self.request).__name__}"
+            )
+        if not isinstance(self.with_reference, bool):
+            raise ConfigurationError(
+                f"with_reference must be a boolean, got {self.with_reference!r}"
             )
         if self.request.x0 is not None:
             raise ConfigurationError(
@@ -146,10 +150,15 @@ class ServeRequest:
                 f"unknown serve request keys: {sorted(unknown)}"
             )
         payload = dict(data)
-        request = payload.get("request")
-        if request is not None and not isinstance(request, SolveRequest):
-            payload["request"] = SolveRequest.from_dict(request)
-        return cls(**payload)
+        try:
+            request = payload.get("request")
+            if request is not None and not isinstance(request, SolveRequest):
+                payload["request"] = SolveRequest.from_dict(request)
+            return cls(**payload)
+        except (TypeError, ValueError) as exc:
+            # A value of the wrong type or shape, e.g. ``"T": "x"`` or
+            # ``"failures": 5``: the request's fault, not the service's.
+            raise ConfigurationError(f"bad serve request: {exc}") from exc
 
 
 def canonical_report(report: "SolveReport | Mapping[str, Any]") -> dict[str, Any]:
@@ -223,14 +232,10 @@ class SolverService:
         pool_size: int = DEFAULT_POOL_SIZE,
         *,
         cache_dir=None,
-        max_batch: int = DEFAULT_MAX_BATCH,
         problem_seed: int = 2020,
     ):
-        if max_batch < 1:
-            raise ConfigurationError(f"max_batch must be >= 1, got {max_batch}")
         self.pool = SessionPool(pool_size)
         self.cache_dir = cache_dir
-        self.max_batch = int(max_batch)
         self.problem_seed = int(problem_seed)
         self.served = 0
         self.errors = 0
@@ -325,7 +330,7 @@ class SolverService:
         """
         while True:
             batch = []
-            while pooled.pending and len(batch) < self.max_batch:
+            while pooled.pending and len(batch) < BATCH_SIZE:
                 try:
                     batch.append(pooled.pending.popleft())
                 except IndexError:  # pragma: no cover - racing producers

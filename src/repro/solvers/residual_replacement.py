@@ -71,7 +71,7 @@ class ResidualReplacer:
     Usage, as a registered strategy a session can serve::
 
         @register_strategy("esrp_replaced")
-        def build(T=1, phi=1, **_):
+        def build(T=1, phi=1):
             return ResidualReplacer(ESRPStrategy(T=T, phi=phi), interval=50).attach()
 
     ``attach()`` decorates the strategy so that every ``interval``

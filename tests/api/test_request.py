@@ -31,6 +31,31 @@ class TestEagerValidation:
         with pytest.raises(ConfigurationError, match="rtol"):
             SolveRequest(rtol=0.0)
 
+    @pytest.mark.parametrize("strategy, params", [
+        ("pv", {"treshold": 1e-30}),  # misspelled
+        ("esr", {"error_bound": 5}),  # another strategy's parameter
+        ("esrp", {"phi": 2}),  # a request field
+    ])
+    def test_bad_strategy_params_raise_at_construction(self, strategy, params):
+        with pytest.raises(ConfigurationError, match="strategy_params"):
+            SolveRequest(strategy=strategy, strategy_params=params)
+
+    def test_strategy_params_the_builder_takes_are_accepted(self):
+        from repro.api import STRATEGIES, register_strategy
+        from repro.core import make_strategy
+
+        SolveRequest(strategy="pv", strategy_params={"threshold": 1e-30, "mode": "forward"})
+        SolveRequest(strategy="lossy_imcr", strategy_params={"error_bound": 1e-3})
+
+        @register_strategy("forwarding_test")
+        def build(**kwargs):
+            return make_strategy("esr", **kwargs)
+
+        try:  # a builder taking **kwargs checks its own keys
+            SolveRequest(strategy="forwarding_test", strategy_params={"anything": 1})
+        finally:
+            STRATEGIES.unregister("forwarding_test")
+
     def test_phi_ge_n_nodes_raises_at_construction(self):
         with pytest.raises(ConfigurationError, match="phi=8 out of range"):
             SolveRequest(phi=8, n_nodes=8)

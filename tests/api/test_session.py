@@ -26,7 +26,9 @@ class TestSetupReuse:
             SolveRequest(strategy="esrp", T=10, phi=1),
             SolveRequest(strategy="imcr", T=10, phi=1),
         ]
-        reports = session.solve_many(requests, with_reference=True)
+        reports = [
+            session.solve(request, with_reference=True) for request in requests
+        ]
         assert all(report.converged for report in reports)
         assert session.setup_events["cluster"] == 1
         assert session.setup_events["matrix"] == 1
@@ -130,21 +132,20 @@ class TestShimEquivalence:
         assert report.modeled_time != other.modeled_time
 
 
-class TestSolveMany:
-    def test_batch_validates_before_running(self, problem):
+class TestValidation:
+    def test_validates_before_running(self, problem):
         matrix, b, _meta = problem
         session = SolverSession(matrix, b, n_nodes=4)
-        good = SolveRequest(strategy="esr")
         bad = SolveRequest(strategy="esr", phi=2, n_nodes=8)  # wrong cluster
         with pytest.raises(ConfigurationError, match="targets n_nodes=8"):
-            session.solve_many([good, bad])
+            session.solve(bad)
         assert session.setup_events["solve"] == 0  # nothing ran
 
     def test_rejects_non_request_items(self, problem):
         matrix, b, _meta = problem
         session = SolverSession(matrix, b, n_nodes=4)
-        with pytest.raises(ConfigurationError, match="expects SolveRequest"):
-            session.solve_many([{"strategy": "esr"}])
+        with pytest.raises(ConfigurationError, match="expects a SolveRequest"):
+            session.solve({"strategy": "esr"})
 
 
 class TestReports:

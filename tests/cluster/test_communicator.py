@@ -204,7 +204,7 @@ class TestFailureSemantics:
         node = cluster.node(1)
         node.store["x"] = np.ones(3)
         node.scalars["beta"] = 2.0
-        node.stash_redundant(5, 0, np.array([0]), np.array([1.0]))
+        node.hold_redundant(5, {0: (np.array([0]), np.array([1.0]))}, 16)
         cluster.fail([1])
         assert node.store == {}
         assert node.scalars == {}

@@ -52,24 +52,21 @@ class TestPairs:
         assert queue.holds_pair(20, 21)
         assert not queue.holds_pair(19, 20)
 
-    def test_latest_consecutive_pair(self):
-        queue = RedundancyQueue(3)
-        queue.push(20)
-        queue.push(21)
-        queue.push(40)
-        assert queue.latest_consecutive_pair() == (20, 21)
-
     def test_no_pair(self):
         queue = RedundancyQueue(3)
         queue.push(20)
         queue.push(40)
-        assert queue.latest_consecutive_pair() is None
+        assert not queue.holds_pair(20, 21)
+        assert not queue.holds_pair(40, 41)
 
     def test_newest_pair_wins(self):
         queue = RedundancyQueue(4)
         for j in (20, 21, 40, 41):
             queue.push(j)
-        assert queue.latest_consecutive_pair() == (40, 41)
+        assert queue.holds_pair(20, 21) and queue.holds_pair(40, 41)
+        queue.push(60)  # evicts 20
+        assert not queue.holds_pair(20, 21)
+        assert queue.holds_pair(40, 41)
 
 
 class TestFig1Trace:

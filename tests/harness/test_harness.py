@@ -13,7 +13,6 @@ from repro.harness import (
     PAPER_TABLE3,
     PAPER_TABLE4,
     PAPER_TABLES,
-    relative_overhead,
     render_drift_table,
     render_overhead_table,
 )
@@ -23,14 +22,6 @@ from repro.solvers import drift_from_result, residual_drift, true_residual_norm
 
 
 class TestMetrics:
-    def test_relative_overhead(self):
-        assert relative_overhead(11.0, 10.0) == pytest.approx(0.1)
-        assert relative_overhead(9.0, 10.0) == pytest.approx(-0.1)
-
-    def test_relative_overhead_needs_positive_reference(self):
-        with pytest.raises(ConfigurationError):
-            relative_overhead(1.0, 0.0)
-
     def test_median(self):
         assert median([3.0, 1.0, 2.0]) == 2.0
         assert median([1.0, 2.0, 3.0, 4.0]) == 2.5

@@ -408,9 +408,9 @@ def test_vectorized_spmv_multiplies_global_csr():
         for value in vars(cache).values()
     )
     assert cache.total_ghosts == dmatrix.plan.total_halo_entries()
-    template = dmatrix.plan.message_template("spmv_halo")
-    assert dmatrix.plan.message_template("spmv_halo") is template
-    assert all(entry[3] == "spmv_halo" for entry in template)
+    halo = SpMVExecutor(dmatrix).compiled_halo("spmv_halo")
+    assert SpMVExecutor(dmatrix).compiled_halo("spmv_halo") is halo  # built once
+    assert all(entry[3] == "spmv_halo" for entry in halo.messages)
 
     # Swap the master copy and the product follows it.
     dmatrix.global_csr = sp.csr_matrix(2.0 * matrix)

@@ -28,7 +28,7 @@ from repro.cluster.node import NodeState
 from repro.matrices import poisson_2d
 
 NODE_MUTATORS = (
-    "keep", "stash_redundant", "hold_redundant", "drop_redundant",
+    "keep", "hold_redundant", "drop_redundant",
     "hold_checkpoint", "wipe", "revive",
 )
 CLUSTER_EVENTS = ("snapshot_redundancy_footprint", "fail", "replace")

@@ -19,7 +19,7 @@ from repro.queue import (
     task_config,
     task_id_for,
 )
-from repro.queue.collect import read_segment_footer
+from repro.queue.segment import read_footer
 
 from .conftest import fake_record, queue_spec
 
@@ -275,7 +275,7 @@ class TestCompaction:
             store.append_record("w1", fake_record(task))
             records[task.run_id] = fake_record(task)
         path = store.compact_shard("w1")
-        footer = read_segment_footer(path)
+        footer = read_footer(path)
         assert footer["count"] == len(tasks)
         assert footer["worker_id"] == "w1"
         loaded = list(iter_segment_records(path))

@@ -5,6 +5,8 @@ the same ``urllib`` client the load driver uses — no mocks, so these
 pin the actual wire contract ``repro serve`` exposes.
 """
 
+import http.client
+import json
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -108,6 +110,38 @@ class TestErrorMapping:
         assert json.loads(excinfo.value.read())["error"]["type"] == (
             "ConfigurationError"
         )
+
+
+    @pytest.mark.parametrize("content_length, body", [
+        pytest.param("abc", None, id="content-length-abc"),
+        pytest.param("1e3", None, id="content-length-1e3"),
+        pytest.param(None, {"request": {"T": "x"}}, id="T-string"),
+        pytest.param(None, {"n_nodes": "4"}, id="n_nodes-string"),
+        pytest.param(None, {"request": {"phi": None}}, id="phi-null"),
+        pytest.param(None, {"request": {"failures": [[1]]}}, id="failure-no-ranks"),
+        pytest.param(None, {"request": {"failures": 5}}, id="failures-int"),
+        pytest.param(None, {"with_reference": "false"}, id="with_reference-string"),
+        pytest.param(
+            None,
+            {"request": {"strategy": "pv", "strategy_params": {"treshold": 1e-30}}},
+            id="misspelled-strategy-param",
+        ),
+    ])
+    def test_bad_input_is_400(self, server, content_length, body):
+        # A bad Content-Length goes with no body: the server replies
+        # without reading one.
+        data = b"" if body is None else json.dumps(body).encode()
+        connection = http.client.HTTPConnection(*server.address, timeout=30)
+        try:
+            connection.putrequest("POST", "/solve")
+            connection.putheader("Content-Length", content_length or str(len(data)))
+            connection.endheaders(data)
+            reply = connection.getresponse()
+            status, payload = reply.status, json.loads(reply.read())
+        finally:
+            connection.close()
+        assert status == 400
+        assert payload["error"]["type"] == "ConfigurationError"
 
 
 class TestConcurrentLoad:

@@ -234,7 +234,7 @@ class TestBitIdentity:
         # Many threads, one session key: the batch leader serves most
         # of them, stragglers solo — every reply must
         # still be byte-identical.
-        service = SolverService(pool_size=1, max_batch=4)
+        service = SolverService(pool_size=1)
         request = serve_request()
         replies = [None] * 12
         errors = []
@@ -257,7 +257,7 @@ class TestBitIdentity:
     def test_mixed_batch_gets_per_request_answers(self):
         # Different requests racing onto one session must each get
         # their own (correct, stable) report back, not a neighbour's.
-        service = SolverService(pool_size=1, max_batch=8)
+        service = SolverService(pool_size=1)
         requests = [serve_request(seed=i) for i in range(6)]
         expected = [service.solve(r)["response_digest"] for r in requests]
 
@@ -288,7 +288,7 @@ class TestErrorsAndLifecycle:
     def test_batch_neighbours_survive_a_bad_request(self):
         # A request that validates but fails at solve time must fail
         # alone, and its batch neighbours are solved once each.
-        service = SolverService(pool_size=1, max_batch=8)
+        service = SolverService(pool_size=1)
         good = serve_request()
         bad = serve_request()
         object.__setattr__(bad.request, "maxiter", -17)
